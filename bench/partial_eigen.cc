@@ -1,22 +1,28 @@
-// Lanczos partial eigensolver vs full Jacobi on the FD shrink shape,
-// tracked as BENCH_partial_eigen.json.
+// Lanczos partial eigensolver vs the full dense solve on the FD shrink
+// shape, tracked as BENCH_partial_eigen.json.
 //
 // Usage: partial_eigen [output.json]
 //   DMT_SCALE=small|default|paper selects the (ell, d) sweep; small keeps
-//   the CI smoke run to the d=256 column.
+//   the CI smoke run to the d=256 column. Every scale also measures
+//   (ell, d) = (20, 44), protocol MP1's coordinator shape on PAMAP-like
+//   data, where the Lanczos basis would span R^d and TopK takes its
+//   dense route.
 //
 // Two comparisons per (ell, d) point:
 //  * solver: top ell+1 eigenpairs of a 2*ell x d buffer's Gram — thick
 //    restart Lanczos (linalg/lanczos.h; row matvecs when 2*ell < d, so
 //    the Gram is never materialized) against the full-spectrum route
-//    (blocked Gram build + Jacobi SymmetricEigen), with the eigenvalue
-//    agreement reported and gated.
+//    (blocked Gram build + Householder-QL SymmetricEigen, `dense_seconds`),
+//    each the fastest of three calls, with the eigenvalue agreement
+//    reported and gated.
 //  * fd_stream: FrequentDirections streaming throughput with the Lanczos
 //    shrink backend vs the Jacobi reference backend, with the final
 //    covariance error of both sketches against the exact Gram — the two
 //    must agree within 1e-8 (hard DMT_CHECK, every scale).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -46,46 +52,49 @@ linalg::Matrix GaussianRows(size_t n, size_t d, Rng* rng) {
 
 struct SolverPoint {
   size_t ell, d, rows, k;
-  double jacobi_seconds;
+  double dense_seconds;
   double lanczos_seconds;
   double speedup;
   size_t lanczos_matvecs;
-  double rel_eig_diff;  // max |lambda_L - lambda_J| / lambda_1
+  double rel_eig_diff;  // max |lambda_L - lambda_dense| / lambda_1
 };
+
+// Calls in each timing; the fastest one is reported.
+constexpr int kSolverReps = 3;
 
 SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
   const size_t n = 2 * ell;  // the streaming shrink shape
   const size_t k = std::min(ell + 1, d);
   linalg::Matrix buffer = GaussianRows(n, d, rng);
 
-  SolverPoint p{ell, d, n, k, 0.0, 0.0, 0.0, 0, 0.0};
+  SolverPoint p{ell, d, n, k, 1e300, 1e300, 0.0, 0, 0.0};
 
-  // Full-spectrum reference: blocked Gram build + Jacobi, timed together
-  // (that is what a full-decomposition shrink pays).
+  // Full-spectrum reference: blocked Gram build + dense QL, timed
+  // together (that is what a full-decomposition shrink pays).
   linalg::EigenDecomposition full;
-  {
+  for (int rep = 0; rep < kSolverReps; ++rep) {
     Timer t;
     linalg::Matrix gram(d, d);
     linalg::kernels::Gram(buffer.Row(0), n, d, gram.Row(0));
     full = linalg::SymmetricEigen(gram);
-    p.jacobi_seconds = t.Seconds();
+    p.dense_seconds = std::min(p.dense_seconds, t.Seconds());
   }
 
   std::vector<double> vals;
   linalg::Matrix vecs;
   linalg::LanczosInfo info;
-  {
+  for (int rep = 0; rep < kSolverReps; ++rep) {
     Timer t;
     linalg::LanczosOptions opts;
     opts.tol = 1e-11;
     info = n < d ? linalg::LanczosTopKOfRows(buffer, k, &vals, &vecs, opts)
                  : linalg::LanczosTopKOfGram(buffer.Gram(), k, &vals, &vecs,
                                              opts);
-    p.lanczos_seconds = t.Seconds();
+    p.lanczos_seconds = std::min(p.lanczos_seconds, t.Seconds());
   }
   DMT_CHECK(info.converged);
   p.lanczos_matvecs = info.matvecs;
-  p.speedup = p.jacobi_seconds / p.lanczos_seconds;
+  p.speedup = p.dense_seconds / p.lanczos_seconds;
 
   const double scale = std::max(full.eigenvalues.front(), 1e-300);
   for (size_t i = 0; i < k; ++i) {
@@ -157,14 +166,18 @@ int main(int argc, char** argv) {
     dims = {256};
   }
 
+  // MP1's coordinator shape (eps = 0.1 -> ell = 20, PAMAP d = 44), first.
+  std::vector<std::pair<size_t, size_t>> points = {{20, 44}};
+  for (size_t d : dims) {
+    for (size_t ell : ells) points.emplace_back(ell, d);
+  }
+
   Rng rng(777);
   std::vector<SolverPoint> solver;
   std::vector<StreamPoint> streams;
-  for (size_t d : dims) {
-    for (size_t ell : ells) {
-      solver.push_back(MeasureSolver(ell, d, &rng));
-      streams.push_back(MeasureStream(ell, d, &rng));
-    }
+  for (const auto& [ell, d] : points) {
+    solver.push_back(MeasureSolver(ell, d, &rng));
+    streams.push_back(MeasureStream(ell, d, &rng));
   }
 
   bench::EmitBenchJson(out_path, "partial_eigen", [&](FILE* f) {
@@ -173,10 +186,10 @@ int main(int argc, char** argv) {
       const SolverPoint& p = solver[i];
       std::fprintf(f,
                    "    {\"ell\": %zu, \"d\": %zu, \"rows\": %zu, "
-                   "\"k\": %zu, \"jacobi_seconds\": %.6f, "
+                   "\"k\": %zu, \"dense_seconds\": %.6f, "
                    "\"lanczos_seconds\": %.6f, \"speedup\": %.3f, "
                    "\"lanczos_matvecs\": %zu, \"rel_eig_diff\": %.3e}%s\n",
-                   p.ell, p.d, p.rows, p.k, p.jacobi_seconds,
+                   p.ell, p.d, p.rows, p.k, p.dense_seconds,
                    p.lanczos_seconds, p.speedup, p.lanczos_matvecs,
                    p.rel_eig_diff, i + 1 < solver.size() ? "," : "");
     }

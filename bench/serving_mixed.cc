@@ -79,13 +79,17 @@ void QueryOp(serve::SnapshotReader* reader) {
   }
 }
 
-void ReaderLoop(serve::SnapshotStore* store, std::atomic<bool>* done,
-                ReaderStats* stats) {
+// Runs query ops until `done`. The first op completes before the reader
+// counts itself into `started`, the start latch the mixed run waits on,
+// so every reader has served at least one query however fast ingestion
+// finishes.
+void ReaderLoop(serve::SnapshotStore* store, std::atomic<size_t>* started,
+                std::atomic<bool>* done, ReaderStats* stats) {
   constexpr size_t kMaxSamples = 1u << 20;
   serve::SnapshotReader reader(store);
   stats->sample_us.reserve(kMaxSamples);
   uint64_t iter = 0;
-  while (!done->load(std::memory_order_acquire)) {
+  do {
     if ((iter++ & 7) == 0 && stats->sample_us.size() < kMaxSamples) {
       Timer t;
       QueryOp(&reader);
@@ -93,8 +97,10 @@ void ReaderLoop(serve::SnapshotStore* store, std::atomic<bool>* done,
     } else {
       QueryOp(&reader);
     }
-    ++stats->query_ops;
-  }
+    if (++stats->query_ops == 1) {
+      started->fetch_add(1, std::memory_order_release);
+    }
+  } while (!done->load(std::memory_order_acquire));
 }
 
 double Percentile(const std::vector<double>& sorted, double frac) {
@@ -164,12 +170,18 @@ WorkloadResult RunWorkload(MakeProtocol make, AttachFn attach,
     serve::ServingCoordinator serving(&store);
     attach(&serving, &driver, &protocol);
 
+    std::atomic<size_t> started{0};
     std::atomic<bool> done{false};
     std::vector<ReaderStats> stats(readers);
     std::vector<std::thread> pool;
     pool.reserve(readers);
     for (size_t r = 0; r < readers; ++r) {
-      pool.emplace_back(ReaderLoop, &store, &done, &stats[r]);
+      pool.emplace_back(ReaderLoop, &store, &started, &done, &stats[r]);
+    }
+    // Start latch: ingestion may finish in milliseconds, before a reader
+    // thread is even scheduled.
+    while (started.load(std::memory_order_acquire) < readers) {
+      std::this_thread::yield();
     }
     Timer t;
     driver.Run(&protocol, sites, items);
@@ -279,8 +291,8 @@ int main(int argc, char** argv) {
          matrix::MP1BatchedFD* p) { serving->AttachMatrix(d, p); },
       mx_sites, rows, mx_m, threads, 4096, readers);
 
-  // Smoke gate: the mixed run must actually have served queries from
-  // every reader's loop and published every window.
+  // Smoke gate: the mixed run must actually have served queries (the
+  // start latch guarantees one per reader) and published every window.
   DMT_CHECK_GT(hh.query_ops, 0u);
   DMT_CHECK_GT(mx.query_ops, 0u);
   DMT_CHECK_GT(hh.windows, 0u);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 
 #include "linalg/jacobi_eigen.h"
 #include "linalg/vec_ops.h"
@@ -57,15 +56,12 @@ void LanczosSolver::EnsureWorkspace(size_t d, size_t m) {
   }
   if (cand_.size() != d) cand_.resize(d);
   if (theta_.size() < m) theta_.resize(m);
-  if (order_.size() < m) order_.resize(m);
+  if (eig_scratch_.size() < m) eig_scratch_.resize(m);
 }
 
 DMT_ALLOC_OK("shape change only: the basis size moves on the first cycle and a final truncated cycle")
 void LanczosSolver::EnsureRitzWorkspace(size_t j) {
-  if (t_.rows() != j) {
-    t_ = Matrix(j, j);
-    y_ = Matrix(j, j);
-  }
+  if (t_.rows() != j) t_ = Matrix(j, j);
 }
 
 DMT_ALLOC_OK("grow-once n-length scratch; steady-state solves of a fixed shape do not reallocate")
@@ -86,6 +82,75 @@ void LanczosSolver::SizeOutputs(size_t need, size_t d,
 }
 
 DMT_NO_ALLOC
+void LanczosSolver::RitzVector(size_t i, size_t j, size_t d) {
+  double* u = u_.Row(i);
+  double* su = su_.Row(i);
+  std::fill(u, u + d, 0.0);
+  std::fill(su, su + d, 0.0);
+  const double* coef = t_.Row(i);
+  for (size_t a = 0; a < j; ++a) {
+    const double c = coef[a];
+    if (c == 0.0) continue;
+    Axpy(c, q_.Row(a), u, d);
+    Axpy(c, sq_.Row(a), su, d);
+  }
+}
+
+DMT_NO_ALLOC
+LanczosInfo LanczosSolver::DenseTopK(size_t d, size_t k,
+                                     const SymmetricMatvec& matvec,
+                                     std::vector<double>* eigenvalues,
+                                     Matrix* eigenvectors) {
+  LanczosInfo info;
+  // Row i of sq_ is S e_i (= column i of S), so sq_ holds S^T and its
+  // upper triangle is the lower triangle of S — for a symmetric operator
+  // the same matrix.
+  std::fill(cand_.begin(), cand_.end(), 0.0);
+  for (size_t i = 0; i < d; ++i) {
+    cand_[i] = 1.0;
+    // dmt-lint: allow(noalloc-violation): indirect call, same operator
+    // contract as TopK's matvecs.
+    matvec(cand_.data(), sq_.Row(i));
+    cand_[i] = 0.0;
+  }
+  info.matvecs = d;
+  std::memcpy(u_.Row(0), sq_.Row(0), d * d * sizeof(double));
+  info.converged = SymmetricEigenInPlace(u_.Row(0), d, theta_.data(),
+                                         eig_scratch_.data());
+
+  // Residuals against the formed S itself: S u = sum_s u_s (S e_s), one
+  // axpy per stored column, so an asymmetric operator is not flattered.
+  // Each one is padded by (d + 2) eps (||S||_F + |theta|), the standard
+  // error bound of evaluating S u - theta u, so residual_bound stays
+  // above the exact residual even at roundoff level — MP2's trace
+  // certificate adds it.
+  double frob_sq = 0.0;
+  for (size_t i = 0; i < d; ++i) frob_sq += SquaredNorm(sq_.Row(i), d);
+  const double rounding =
+      static_cast<double>(d + 2) * std::ldexp(1.0, -52);
+  SizeOutputs(k, d, eigenvalues, eigenvectors);
+  double resid_sq_sum = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    const double* u = u_.Row(i);
+    const double th = theta_[i];
+    (*eigenvalues)[i] = th;
+    std::memcpy(eigenvectors->Row(i), u, d * sizeof(double));
+    std::fill(cand_.begin(), cand_.end(), 0.0);
+    for (size_t s = 0; s < d; ++s) Axpy(u[s], sq_.Row(s), cand_.data(), d);
+    double rsq = 0.0;
+    for (size_t t = 0; t < d; ++t) {
+      const double r = cand_[t] - th * u[t];
+      rsq += r * r;
+    }
+    const double r = std::sqrt(rsq) +
+                     rounding * (std::sqrt(frob_sq) + std::fabs(th));
+    resid_sq_sum += r * r;
+  }
+  info.residual_bound = std::sqrt(resid_sq_sum);
+  return info;
+}
+
+DMT_NO_ALLOC
 LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
                                 const SymmetricMatvec& matvec,
                                 std::vector<double>* eigenvalues,
@@ -102,6 +167,7 @@ LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
   size_t m = opts.basis_size != 0 ? opts.basis_size : 2 * k + 8;
   m = std::min(std::max(m, k + 2), d);
   EnsureWorkspace(d, m);
+  if (m == d) return DenseTopK(d, k, matvec, eigenvalues, eigenvectors);
 
   // Seed the basis.
   double* q0 = q_.Row(0);
@@ -163,25 +229,15 @@ LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
     }
 
     // ---- Rayleigh-Ritz on the j-row basis: T = Q S Q^T (j x j, upper
-    // triangle computed, mirrored for exact symmetry).
+    // triangle only — all the dense solver reads). Afterwards theta_ is
+    // descending and row i of t_ holds the basis coefficients of Ritz
+    // vector i.
     EnsureRitzWorkspace(j);
     for (size_t a = 0; a < j; ++a) {
-      for (size_t b = a; b < j; ++b) {
-        const double v = Dot(q_.Row(a), sq_.Row(b), d);
-        t_(a, b) = v;
-        t_(b, a) = v;
-      }
+      for (size_t b = a; b < j; ++b) t_(a, b) = Dot(q_.Row(a), sq_.Row(b), d);
     }
-    y_.SetZero();
-    for (size_t i = 0; i < j; ++i) y_(i, i) = 1.0;
-    JacobiDiagonalizeInPlace(&t_, &y_);
-    for (size_t i = 0; i < j; ++i) theta_[i] = t_(i, i);
-    std::iota(order_.begin(), order_.begin() + j, size_t{0});
-    std::sort(order_.begin(), order_.begin() + j,
-              [this](size_t a, size_t b) {
-                if (theta_[a] != theta_[b]) return theta_[a] > theta_[b];
-                return a < b;  // deterministic tie-break
-              });
+    const bool ritz_ok = SymmetricEigenInPlace(t_.Row(0), j, theta_.data(),
+                                               eig_scratch_.data());
 
     // Spectral scale for the relative residual test: the largest |Ritz
     // value| seen, a faithful stand-in for ||S||.
@@ -190,24 +246,17 @@ LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
       scale = std::max(scale, std::fabs(theta_[i]));
     }
 
-    // ---- Ritz vectors u_i = sum_a y(a, order[i]) q_a and their operator
+    // ---- Ritz vectors u_i = sum_a t(i, a) q_a and their operator
     // images (exact linear combinations of stored rows — no matvecs),
     // plus residuals r_i = ||S u_i - theta_i u_i|| for the top `need`.
     const size_t avail = std::min(j, need);
     bool all_converged = true;
     double resid_sq_sum = 0.0;
     for (size_t i = 0; i < avail; ++i) {
-      double* u = u_.Row(i);
-      double* su = su_.Row(i);
-      std::fill(u, u + d, 0.0);
-      std::fill(su, su + d, 0.0);
-      for (size_t a = 0; a < j; ++a) {
-        const double c = y_(a, order_[i]);
-        if (c == 0.0) continue;
-        Axpy(c, q_.Row(a), u, d);
-        Axpy(c, sq_.Row(a), su, d);
-      }
-      const double th = theta_[order_[i]];
+      RitzVector(i, j, d);
+      const double* u = u_.Row(i);
+      const double* su = su_.Row(i);
+      const double th = theta_[i];
       double rsq = 0.0;
       for (size_t t = 0; t < d; ++t) {
         const double r = su[t] - th * u[t];
@@ -217,38 +266,28 @@ LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
       if (std::sqrt(rsq) > opts.tol * scale + kTiny) all_converged = false;
     }
 
-    const bool exact_span = j >= d;
-    if (all_converged || exact_span || avail < need ||
+    // j <= m < d here (m == d took the dense route), so the basis never
+    // spans R^d and convergence is decided by the residuals alone.
+    if (!ritz_ok || all_converged || avail < need ||
         info.restarts >= opts.max_restarts) {
       // `avail < need` only happens when expansion exhausted every
       // direction with j < k, i.e. the basis already spans the reachable
       // space; Rayleigh-Ritz is then exact on it. Pad with zeros.
       SizeOutputs(need, d, eigenvalues, eigenvectors);
       for (size_t i = 0; i < avail; ++i) {
-        (*eigenvalues)[i] = theta_[order_[i]];
+        (*eigenvalues)[i] = theta_[i];
         std::memcpy(eigenvectors->Row(i), u_.Row(i), d * sizeof(double));
       }
       info.residual_bound = std::sqrt(resid_sq_sum);
-      info.converged = all_converged || exact_span;
+      info.converged = ritz_ok && all_converged;
       return info;
     }
 
     // ---- Thick restart: keep the leading p Ritz rows and their operator
     // images (no matvecs), then keep expanding. The kept rows stay
-    // orthonormal because the coefficient matrix y_ is orthogonal.
+    // orthonormal because the coefficient matrix t_ is orthogonal.
     const size_t p = std::min(j - 1, k + std::min(k, size_t{8}));
-    for (size_t i = avail; i < p; ++i) {
-      double* u = u_.Row(i);
-      double* su = su_.Row(i);
-      std::fill(u, u + d, 0.0);
-      std::fill(su, su + d, 0.0);
-      for (size_t a = 0; a < j; ++a) {
-        const double c = y_(a, order_[i]);
-        if (c == 0.0) continue;
-        Axpy(c, q_.Row(a), u, d);
-        Axpy(c, sq_.Row(a), su, d);
-      }
-    }
+    for (size_t i = avail; i < p; ++i) RitzVector(i, j, d);
     std::swap(q_, u_);
     std::swap(sq_, su_);
     j = p;

@@ -6,9 +6,9 @@
 // a (at most 4*ell) x d buffer's Gram, MP2's threshold checks need just
 // the eigenvalues at or above the send threshold, and the covariance
 // error metric needs the two spectral extremes. Diagonalizing the full
-// d x d spectrum with Jacobi for those is the dominant cost at large d;
-// this solver computes the top-k pairs at O(k) matrix-vector products
-// plus small dense work instead.
+// d x d spectrum for those is the dominant cost at large d; this solver
+// computes the top-k pairs at O(k) matrix-vector products plus small
+// dense work instead.
 //
 // Algorithm: build an orthonormal Krylov basis (full reorthogonalization
 // against the whole basis, twice — the small basis makes this cheap and
@@ -21,7 +21,15 @@
 // converged when ||S u - theta u|| <= tol * spectral-scale; on an exact
 // invariant subspace (happy breakdown) the expansion inserts
 // deterministic canonical directions so repeated and zero eigenvalues
-// are still found.
+// are still found. The projected matrix is factored by the dense
+// Householder-QL kernel (SymmetricEigenInPlace, linalg/jacobi_eigen.h).
+//
+// Dense route: when the basis would span R^d anyway (m = min(2k + 8, d)
+// equals d — e.g. FD's k = ell + 1 = 21 or MP2's k = 32 at PAMAP's
+// d = 44) Krylov iteration only adds d^2 reorthogonalization work to a
+// full Rayleigh-Ritz. TopK then forms S from d matvecs on unit vectors
+// and factors it directly with the QL kernel; the choice depends on the
+// shape alone. `residual_bound` is still computed from the formed S.
 //
 // Determinism: no RNG anywhere — the default seed vector is a fixed
 // quasi-random fill, restarts and breakdown replacements are
@@ -33,7 +41,7 @@
 // data, but constructible) can converge inside an invariant subspace and
 // miss that eigenvector. Callers that need certified bounds combine the
 // returned Ritz values with an exactly-tracked trace (see MP2) or fall
-// back to Jacobi when `converged` is false.
+// back to a full-spectrum solve when `converged` is false.
 #ifndef DMT_LINALG_LANCZOS_H_
 #define DMT_LINALG_LANCZOS_H_
 
@@ -79,12 +87,14 @@ struct LanczosOptions {
   /// Residual stopping: pair i is converged when
   /// ||S u_i - theta_i u_i|| <= tol * max_j |theta_j|.
   double tol = 1e-10;
-  /// Krylov basis rows per restart cycle; 0 = min(d, 2k + 8).
+  /// Krylov basis rows per restart cycle; 0 = min(d, 2k + 8). A basis
+  /// of d rows selects the dense route.
   size_t basis_size = 0;
   /// Thick-restart cycles before giving up (`converged` = false).
   size_t max_restarts = 200;
   /// Optional warm-start seed of length d (e.g. the previous solve's
-  /// leading eigenvector); nullptr = deterministic default fill.
+  /// leading eigenvector); nullptr = deterministic default fill. The
+  /// dense route does not use it.
   const double* seed = nullptr;
 };
 
@@ -95,6 +105,8 @@ struct LanczosInfo {
   /// sqrt(sum of squared residual norms) of the returned pairs — an upper
   /// bound on the coupling between the returned subspace and the rest of
   /// the spectrum (MP2's certified gating adds this to its trace bound).
+  /// On the dense route each residual is measured against the formed S
+  /// and padded by its own rounding-error bound.
   double residual_bound = 0.0;
 };
 
@@ -109,8 +121,9 @@ class LanczosSolver {
   /// negatives from a PSD operator are reported as computed) and row i of
   /// `eigenvectors` (min(k,d) x d) is the matching unit eigenvector.
   /// `info.converged` is true when every returned pair passed the
-  /// residual test (always true once the basis spans R^d, where
-  /// Rayleigh-Ritz is exact).
+  /// residual test — on the dense route, when the QL factorization
+  /// converged. It is false for NaN or Inf operators, which return
+  /// promptly.
   LanczosInfo TopK(size_t d, size_t k, const SymmetricMatvec& matvec,
                    std::vector<double>* eigenvalues, Matrix* eigenvectors,
                    const LanczosOptions& opts = LanczosOptions());
@@ -142,16 +155,24 @@ class LanczosSolver {
                           std::vector<double>* eigenvalues,
                           Matrix* eigenvectors);
 
+  /// The m == d route: forms S from d matvecs on unit vectors and factors
+  /// it with SymmetricEigenInPlace.
+  LanczosInfo DenseTopK(size_t d, size_t k, const SymmetricMatvec& matvec,
+                        std::vector<double>* eigenvalues,
+                        Matrix* eigenvectors);
+  /// u_ row i and su_ row i <- Ritz vector i (coefficients: row i of t_
+  /// over the j basis rows) and its operator image.
+  void RitzVector(size_t i, size_t j, size_t d);
+
   Matrix q_;    // basis rows (m x d), orthonormal
-  Matrix sq_;   // S * basis rows (m x d)
-  Matrix u_;    // Ritz-vector scratch (m x d)
+  Matrix sq_;   // S * basis rows (m x d); dense route: row i = S e_i
+  Matrix u_;    // Ritz-vector scratch (m x d); dense route: factored S
   Matrix su_;   // S * Ritz-vector scratch (m x d)
-  Matrix t_;    // projected operator (j x j)
-  Matrix y_;    // eigenvector coefficients of t_ (j x j)
-  std::vector<double> cand_;   // expansion candidate (d)
-  std::vector<double> theta_;  // Ritz values scratch
-  std::vector<size_t> order_;  // descending sort permutation
-  std::vector<double> rowmv_;  // n-length scratch for TopKOfRows
+  Matrix t_;    // projected operator (j x j); rows become its eigenvectors
+  std::vector<double> cand_;         // expansion candidate (d)
+  std::vector<double> theta_;        // Ritz values, descending
+  std::vector<double> eig_scratch_;  // SymmetricEigenInPlace scratch (m)
+  std::vector<double> rowmv_;        // n-length scratch for TopKOfRows
 };
 
 /// Top-k eigenpairs of an explicit symmetric matrix (e.g. a Gram).
@@ -170,8 +191,8 @@ LanczosInfo LanczosTopKOfRows(const Matrix& rows, size_t k,
 /// Both spectral extremes (algebraic min and max eigenvalue) of a
 /// symmetric matrix via two top-1 Lanczos solves (on S and on -S, so
 /// indefinite difference matrices are handled). Falls back to the exact
-/// Jacobi route if either solve misses its residual tolerance, so the
-/// result is always trustworthy.
+/// full-spectrum SymmetricEigen if either solve misses its residual
+/// tolerance, so the result is always trustworthy.
 void SymmetricEigenExtremesLanczos(const Matrix& s, double* lambda_min,
                                    double* lambda_max, double tol = 1e-12);
 

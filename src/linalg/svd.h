@@ -1,8 +1,9 @@
 // Singular value decomposition.
 //
 // Two routes are provided:
-//  * SingularValues / RightSingular via the Gram matrix (fast; exactly what
-//    streaming sketches need, which never require U), and
+//  * RightSingular via the Gram matrix and the dense Householder-QL
+//    eigensolve (fast; exactly what streaming sketches and snapshot
+//    queries need, which never require U), and
 //  * ThinSVD via one-sided Jacobi (Hestenes) rotations on the explicit
 //    matrix, used when U is required or extra accuracy matters.
 #ifndef DMT_LINALG_SVD_H_
@@ -41,7 +42,9 @@ struct RightSingular {
 /// Decomposes a Gram matrix (must be symmetric PSD up to roundoff).
 RightSingular RightSingularFromGram(const Matrix& gram);
 
-/// Convenience: builds the Gram matrix of `a` and decomposes it.
+/// {sigma_i^2, v_i} of `a` (n x d) without U: the d x d Gram plus the
+/// dense eigensolve when n >= d, ThinSVD on the short side when
+/// 0 < n < d. For n > 0, `v` has min(n, d) columns.
 RightSingular RightSingularOf(const Matrix& a);
 
 /// Reconstructs the best rank-k approximation of `a` from its thin SVD.

@@ -1,6 +1,7 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "linalg/svd.h"
@@ -30,16 +31,22 @@ void FinishHHSection(std::vector<HHEntry> by_element, Snapshot* snap) {
 }
 
 // Factors the sketch B = UΣVᵀ into the snapshot's σ / V query structures.
-// An empty sketch (no rows yet, or a zero-row FD buffer) leaves them
-// empty — the QueryEngine's documented empty-state answers apply.
+// Queries never need U, so this takes RightSingularOf's route: the d x d
+// Gram and a dense eigensolve when rows >= cols (MP2's coordinator
+// sketch), one-sided Jacobi on the short side otherwise. An empty sketch
+// (no rows yet, or a zero-row FD buffer) leaves them empty — the
+// QueryEngine's documented empty-state answers apply.
 void FinishMatrixSection(linalg::Matrix sketch, Snapshot* snap) {
   snap->has_matrix = true;
   snap->sketch = std::move(sketch);
   snap->sketch_sq_frob = snap->sketch.SquaredFrobeniusNorm();
   if (snap->sketch.empty()) return;
-  linalg::SvdResult svd = linalg::ThinSVD(snap->sketch);
-  snap->sigma = std::move(svd.sigma);
-  snap->right_vectors = std::move(svd.v);
+  linalg::RightSingular rs = linalg::RightSingularOf(snap->sketch);
+  snap->sigma.resize(rs.squared_sigma.size());
+  for (size_t i = 0; i < rs.squared_sigma.size(); ++i) {
+    snap->sigma[i] = std::sqrt(rs.squared_sigma[i]);
+  }
+  snap->right_vectors = std::move(rs.v);
 }
 
 }  // namespace

@@ -19,9 +19,13 @@
 //    2*ell < d) it iterates directly on the rows — two GEMV-shaped
 //    passes per matvec, never materializing the d x d Gram — and
 //    otherwise on a persistent Gram workspace. The Krylov seed is
-//    warm-started from the previous shrink's leading eigenvector. If a
-//    solve ever fails its residual test (not observed in practice; see
-//    lanczos_fallback_count) the shrink transparently reruns on the
+//    warm-started from the previous shrink's leading eigenvector. When
+//    the Krylov basis would span R^d (2 ell + 10 >= d, e.g. MP1 at
+//    eps = 0.1 on PAMAP's d = 44) the solver takes its dense route
+//    instead: d matvecs form the Gram, which the Householder-QL kernel
+//    factors directly. If a solve fails its residual test (rare: one
+//    warm-seeded shrink in BENCH_partial_eigen.json's (64, 1024) stream;
+//    see lanczos_fallback_count) the shrink transparently reruns on the
 //    Jacobi reference path.
 //  * The full-spectrum Jacobi pipeline is kept as the reference backend
 //    (set_shrink_backend / DMT_FD_BACKEND=jacobi): allocation-free and
@@ -126,7 +130,7 @@ class FrequentDirections {
   /// Process-wide default backend: Lanczos unless DMT_FD_BACKEND=jacobi.
   static FdShrinkBackend DefaultShrinkBackend();
   /// Shrinks where the Lanczos solve missed its residual tolerance and
-  /// the Jacobi reference path ran instead (expected 0; observability).
+  /// the Jacobi reference path ran instead (usually 0; observability).
   size_t lanczos_fallback_count() const { return lanczos_fallbacks_; }
 
  private:

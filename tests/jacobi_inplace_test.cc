@@ -1,5 +1,5 @@
-// Tests for the warm-start / targeted in-place Jacobi diagonalization that
-// protocol MP2 builds on.
+// Tests for the warm-start in-place Jacobi diagonalization behind the FD
+// reference backend.
 #include <algorithm>
 #include <cmath>
 
@@ -67,58 +67,6 @@ TEST(JacobiInPlaceTest, WarmStartAppliesFewRotations) {
   g.AddOuterProduct(1.0, c);
   size_t warm = JacobiDiagonalizeInPlace(&g, &v);
   EXPECT_LT(warm, cold / 2);
-}
-
-TEST(JacobiInPlaceTest, TargetedSkipStillExposesLargeEigenvalues) {
-  Rng rng(4);
-  // Matrix with a few dominant directions and a noisy tail.
-  Matrix a(0, 12);
-  for (int i = 0; i < 200; ++i) {
-    std::vector<double> row(12);
-    for (size_t j = 0; j < 12; ++j) {
-      row[j] = rng.NextGaussian() * (j < 3 ? 2.0 : 0.05);
-    }
-    a.AppendRow(row);
-  }
-  Matrix g = a.Gram();
-  Matrix original = g;
-  EigenDecomposition exact = SymmetricEigen(original);
-
-  const double cutoff = exact.eigenvalues[2] * 0.5;  // below the top 3
-  Matrix v = Matrix::Identity(12);
-  JacobiDiagonalizeInPlace(&g, &v, 1e-14, 60, cutoff);
-
-  // Every eigenvalue >= cutoff must appear on the diagonal.
-  std::vector<double> got = SortedDiagonal(g);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(got[i], exact.eigenvalues[i],
-                1e-6 * exact.eigenvalues[0])
-        << "eigenvalue " << i;
-  }
-  // And the representation is still exact (skipping loses nothing).
-  EXPECT_LT(Represented(g, v).MaxAbsDiff(original),
-            1e-9 * original.SquaredFrobeniusNorm());
-}
-
-TEST(JacobiInPlaceTest, TargetedSkipCheaperThanFull) {
-  Rng rng(5);
-  Matrix a(0, 16);
-  for (int i = 0; i < 300; ++i) {
-    std::vector<double> row(16);
-    for (size_t j = 0; j < 16; ++j) {
-      row[j] = rng.NextGaussian() * (j < 2 ? 3.0 : 0.02);
-    }
-    a.AppendRow(row);
-  }
-  Matrix g1 = a.Gram();
-  Matrix g2 = g1;
-  Matrix v1 = Matrix::Identity(16);
-  Matrix v2 = Matrix::Identity(16);
-  size_t full = JacobiDiagonalizeInPlace(&g1, &v1);
-  EigenDecomposition exact = SymmetricEigen(a.Gram());
-  size_t targeted = JacobiDiagonalizeInPlace(&g2, &v2, 1e-14, 60,
-                                             exact.eigenvalues[1]);
-  EXPECT_LT(targeted, full);
 }
 
 TEST(JacobiInPlaceDeathTest, ShapeMismatchAborts) {

@@ -1,7 +1,8 @@
 // Pins the thick-restart Lanczos partial eigensolver against the exact
-// Jacobi route across adversarial spectra: repeated eigenvalues,
+// full-spectrum route across adversarial spectra: repeated eigenvalues,
 // rank-deficient operators, the zero matrix, k = d and k = 1, indefinite
-// matrices, warm seeds, and determinism.
+// matrices, warm seeds, and determinism. Small shapes (m = d) exercise
+// the dense route; the *OnTheKrylovRoute cases keep m < d.
 #include <cmath>
 #include <vector>
 
@@ -93,6 +94,32 @@ TEST(LanczosTest, RepeatedEigenvaluesAreAllFound) {
                                 0.25, 0.1, 0.05, 0.01};
   Matrix s = SymmetricWithSpectrum(lambda, 7);
   ExpectAgreesWithJacobi(s, 4, 1e-8);
+}
+
+TEST(LanczosTest, RepeatedEigenvaluesOnTheKrylovRoute) {
+  // Same triple top eigenvalue at d = 40, where k = 4 keeps the basis at
+  // m = 16 < d: the breakdown recovery runs on the Krylov route, not the
+  // dense one small d selects.
+  std::vector<double> lambda(40);
+  for (size_t i = 0; i < lambda.size(); ++i) {
+    lambda[i] = i < 3 ? 5.0 : 2.0 / static_cast<double>(i);
+  }
+  Matrix s = SymmetricWithSpectrum(lambda, 17);
+  ExpectAgreesWithJacobi(s, 4, 1e-8);
+}
+
+TEST(LanczosTest, ZeroMatrixOnTheKrylovRoute) {
+  Matrix s(30, 30);  // k = 5: m = 18 < d
+  std::vector<double> vals;
+  Matrix vecs;
+  LanczosInfo info = LanczosTopKOfGram(s, 5, &vals, &vecs);
+  ASSERT_TRUE(info.converged);
+  EXPECT_NE(info.matvecs, 30u);
+  for (double v : vals) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (size_t i = 0; i < 5; ++i) {
+    std::vector<double> u(vecs.Row(i), vecs.Row(i) + 30);
+    EXPECT_NEAR(Norm(u), 1.0, 1e-12);
+  }
 }
 
 TEST(LanczosTest, RankDeficientOperatorPadsWithZeros) {

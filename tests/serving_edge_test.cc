@@ -1,15 +1,20 @@
 // Edge-case contract of the serving query surface: empty pre-window
 // snapshots, k beyond the tracked count, rank beyond the sketch rank,
 // zero-row FD sketches — all defined results; invalid *arguments* abort
-// (death tests).
+// (death tests). The snapshot's factorization is pinned against ThinSVD.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic_matrix.h"
 #include "hh/p1_batched_mg.h"
+#include "linalg/svd.h"
+#include "linalg/vec_ops.h"
 #include "matrix/mp1_batched_fd.h"
+#include "matrix/mp2_svd_threshold.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "sketch/sliding_window_fd.h"
@@ -119,6 +124,108 @@ TEST(ServingEdgeTest, WindowedSnapshotMatchesSketchBytes) {
       EXPECT_EQ(snap->sketch(i, j), direct(i, j));
     }
   }
+}
+
+// The snapshot's sigma / V must be the sketch's singular structure, not
+// just self-consistent: compare BuildSnapshot against ThinSVD of the very
+// sketch it stores. sigma within 1e-10 sigma_1; V columns equal up to
+// sign wherever sigma^2 is separated from its neighbours; the engine's
+// TopSingularValues and ProjectRow (at separated ranks) agree to the same
+// tolerance. Returns how many V columns were separated enough to check.
+size_t ExpectSnapshotMatchesThinSvd(const serve::Snapshot& snap) {
+  const linalg::Matrix& b = snap.sketch;
+  const linalg::SvdResult ref = linalg::ThinSVD(b);
+  const size_t r = ref.sigma.size();
+  const size_t d = b.cols();
+  EXPECT_EQ(snap.sigma.size(), r);
+  EXPECT_EQ(snap.right_vectors.rows(), d);
+  EXPECT_EQ(snap.right_vectors.cols(), r);
+  if (snap.sigma.size() != r || snap.right_vectors.cols() != r) return 0;
+  const double s1 = ref.sigma[0];
+  const double tol = 1e-10 * s1;
+  for (size_t i = 0; i < r; ++i) {
+    EXPECT_NEAR(snap.sigma[i], ref.sigma[i], tol) << "sigma " << i;
+  }
+
+  // sigma^2 gap of column i to its neighbours, relative to sigma_1^2.
+  const auto gap = [&ref, r, s1](size_t i) {
+    double g = s1 * s1;
+    const double li = ref.sigma[i] * ref.sigma[i];
+    if (i > 0) g = std::min(g, ref.sigma[i - 1] * ref.sigma[i - 1] - li);
+    if (i + 1 < r) {
+      g = std::min(g, li - ref.sigma[i + 1] * ref.sigma[i + 1]);
+    }
+    return g / (s1 * s1);
+  };
+  size_t checked = 0;
+  for (size_t i = 0; i < r; ++i) {
+    if (gap(i) < 1e-3) continue;
+    double dot = 0.0;
+    for (size_t k = 0; k < d; ++k) {
+      dot += snap.right_vectors(k, i) * ref.v(k, i);
+    }
+    const double sign = dot < 0.0 ? -1.0 : 1.0;
+    for (size_t k = 0; k < d; ++k) {
+      EXPECT_NEAR(snap.right_vectors(k, i), sign * ref.v(k, i), 1e-10)
+          << "V(" << k << ", " << i << ")";
+    }
+    ++checked;
+  }
+
+  serve::QueryEngine engine(&snap);
+  const std::vector<double> top = engine.TopSingularValues(r);
+  EXPECT_EQ(top.size(), r);
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_NEAR(top[i], ref.sigma[i], tol);
+  }
+  std::vector<double> x(d);
+  for (size_t k = 0; k < d; ++k) x[k] = 1.0 / static_cast<double>(k + 1);
+  for (size_t rank = 1; rank < r; ++rank) {
+    const double split = ref.sigma[rank - 1] * ref.sigma[rank - 1] -
+                         ref.sigma[rank] * ref.sigma[rank];
+    if (split < 1e-3 * s1 * s1) continue;
+    std::vector<double> expect(d, 0.0);
+    for (size_t i = 0; i < rank; ++i) {
+      double coef = 0.0;
+      for (size_t k = 0; k < d; ++k) coef += ref.v(k, i) * x[k];
+      for (size_t k = 0; k < d; ++k) expect[k] += coef * ref.v(k, i);
+    }
+    const std::vector<double> got = engine.ProjectRow(x, rank);
+    for (size_t k = 0; k < d; ++k) {
+      EXPECT_NEAR(got[k], expect[k], 1e-10 * linalg::Norm(x))
+          << "rank " << rank << ", coordinate " << k;
+    }
+  }
+  return checked;
+}
+
+TEST(ServingEdgeTest, SnapshotFactorizationMatchesThinSvd) {
+  // PAMAP-like rows (d = 44) through both matrix protocols: MP2's
+  // coordinator sketch has one row per positive eigenvalue of its Gram
+  // (rows >= cols: the Gram route), MP1's FD sketch at most 2 ell rows
+  // (rows < cols: the short-side ThinSVD route).
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(5));
+  matrix::MP2SvdThreshold mp2(4, 0.1);
+  matrix::MP1BatchedFD mp1(4, 0.1);
+  for (size_t i = 0; i < 3000; ++i) {
+    const std::vector<double> row = gen.Next();
+    mp2.ProcessRow(i % 4, row);
+    mp1.ProcessRow(i % 4, row);
+  }
+  mp2.Synchronize();
+  mp1.Synchronize();
+
+  std::unique_ptr<const serve::Snapshot> mp2_snap =
+      serve::BuildSnapshot(mp2, 1, 3000);
+  ASSERT_GE(mp2_snap->sketch.rows(), mp2_snap->sketch.cols());
+  EXPECT_GE(ExpectSnapshotMatchesThinSvd(*mp2_snap), 3u);
+
+  std::unique_ptr<const serve::Snapshot> mp1_snap =
+      serve::BuildSnapshot(mp1, 1, 3000);
+  ASSERT_GT(mp1_snap->sketch.rows(), 0u);
+  ASSERT_LT(mp1_snap->sketch.rows(), mp1_snap->sketch.cols());
+  EXPECT_GE(ExpectSnapshotMatchesThinSvd(*mp1_snap), 3u);
 }
 
 TEST(ServingEdgeDeathTest, InvalidArgumentsDie) {
