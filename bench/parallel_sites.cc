@@ -4,19 +4,22 @@
 // Two sections:
 //
 //  - Fixed workloads: a heavy-hitter stream (P2, hash-map bound site
-//    phase) and a matrix row stream (MP1, FD compute bound) through
-//    stream::SimulationDriver at 1/2/4/8 requested threads, verifying
-//    bit-identical results across counts (messages + the coordinator's
-//    total-weight / Frobenius fingerprint) and reporting wall-clock
-//    speedups.
+//    phase) routed uniformly and routed skewed (half of all arrivals at
+//    site 0, which lands on lane 0's home range — the case a work-stealing
+//    scheduler would target), and a matrix row stream (MP1, FD compute
+//    bound), through stream::SimulationDriver at 1/2/4/8 requested
+//    threads, verifying bit-identical results across counts (messages +
+//    the coordinator's total-weight / Frobenius fingerprint) and reporting
+//    wall-clock speedups.
 //
 //  - m-sweep: P2 at m = 10^3..10^5 sites (10^4 at DMT_SCALE=small, 10^6
 //    at DMT_SCALE=paper) with
-//    ~10 arrivals per site, exercising the batch-reservation scheduler
+//    ~10 arrivals per site, exercising the home-range scheduler
 //    where the old one-task-per-site driver drowned (m pool round-trips
 //    and O(m) drain scans per window). Each point records the driver's
-//    SchedulerStats counters — windows, batches reserved, mean sites per
-//    batch, targeted drains vs full-scan drain stalls.
+//    SchedulerStats counters — windows, non-empty lane ranges
+//    (batches_reserved), mean sites per range, targeted drains vs
+//    full-scan drain stalls.
 //
 // Every run records both the requested and the effective thread count
 // (ResolveThreadCount clamps at 4x the hardware threads); on a
@@ -147,17 +150,23 @@ int main(int argc, char** argv) {
     data::WeightedItem w = z.Next();
     it = stream::WeightedUpdate{w.element, w.weight};
   }
-  stream::Router hh_router(hh_m, stream::RoutingPolicy::kUniform, 22);
-  const std::vector<size_t> hh_sites = stream::AssignSites(&hh_router, hh_n);
-
-  std::vector<RunPoint> hh_points;
-  for (size_t t : thread_counts) {
-    hh_points.push_back(TimeRun(
-        [&] { return hh::P2Threshold(hh_m, 0.01); }, hh_sites, items, t,
-        8192));
-    DMT_CHECK_EQ(hh_points.back().messages, hh_points.front().messages);
-    DMT_CHECK_EQ(hh_points.back().fingerprint, hh_points.front().fingerprint);
-  }
+  const auto hh_runs = [&](stream::RoutingPolicy policy) {
+    stream::Router router(hh_m, policy, 22);
+    const std::vector<size_t> sites = stream::AssignSites(&router, hh_n);
+    std::vector<RunPoint> points;
+    for (size_t t : thread_counts) {
+      points.push_back(TimeRun(
+          [&] { return hh::P2Threshold(hh_m, 0.01); }, sites, items, t,
+          8192));
+      DMT_CHECK_EQ(points.back().messages, points.front().messages);
+      DMT_CHECK_EQ(points.back().fingerprint, points.front().fingerprint);
+    }
+    return points;
+  };
+  const std::vector<RunPoint> hh_points =
+      hh_runs(stream::RoutingPolicy::kUniform);
+  const std::vector<RunPoint> hh_skewed_points =
+      hh_runs(stream::RoutingPolicy::kSkewed);
 
   // Matrix: MP1 over a PAMAP-like row stream (FD compute bound site phase).
   const size_t mx_n = static_cast<size_t>(ScaledN(120000, 2, 40));
@@ -182,7 +191,7 @@ int main(int argc, char** argv) {
   }
 
   // m-sweep: P2 at large site counts, ~10 arrivals per site. This is the
-  // regime the batch-reservation scheduler exists for; the counters show
+  // regime the home-range scheduler exists for; the counters show
   // how the windows were carved up. Timings use one rep (the sweep is
   // about scaling shape and counters, not best-case latency) and threads
   // {1, 4} — enough to see the scheduler operate without multiplying the
@@ -230,6 +239,7 @@ int main(int argc, char** argv) {
                  "fingerprint identical across thread counts\",\n");
     std::fprintf(f, "  \"workloads\": {\n");
     PrintWorkload(f, "hh_p2_zipf", hh_n, hh_m, hh_points, false);
+    PrintWorkload(f, "hh_p2_skewed", hh_n, hh_m, hh_skewed_points, false);
     PrintWorkload(f, "matrix_mp1_pamap", mx_n, mx_m, mx_points, true);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"m_sweep\": [\n");

@@ -76,11 +76,11 @@ class P2Threshold : public HeavyHitterProtocol {
   P2Options options_;
   stream::Network network_;
   // Per-site state, SoA. The scalar-hot arrays (every SiteUpdate reads
-  // and often writes both) are cache-line-aligned: with the driver's
-  // batch-reservation scheduler handing each worker a contiguous site
-  // range, workers then touch disjoint line ranges except at the two
-  // range boundaries. With bounded space, `site_summary_` replaces the
-  // exact delta map (only one of the two is populated per run).
+  // and often writes both) are cache-line-aligned: with each of the
+  // driver's lanes owning a contiguous home range of sites, lanes then
+  // touch disjoint line ranges except at the two range boundaries. With
+  // bounded space, `site_summary_` replaces the exact delta map (only one
+  // of the two is populated per run).
   CacheAlignedVector<double> site_weight_;  // W_i since last scalar report
   std::vector<std::unordered_map<uint64_t, double>> site_delta_;
   std::vector<sketch::SpaceSaving> site_summary_;

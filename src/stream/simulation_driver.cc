@@ -1,7 +1,6 @@
 #include "stream/simulation_driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -163,8 +162,10 @@ std::vector<size_t> WindowEnds(size_t n, size_t chunk_elements,
 SimulationDriver::SimulationDriver(const SimulationOptions& options)
     : options_(options), threads_(ResolveThreadCount(options.threads)) {
   if (options_.chunk_elements == 0) options_.chunk_elements = 1;
-  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
-  lanes_.resize(std::max<size_t>(threads_, 1));
+  // The calling thread is lane 0, so `threads_` lanes need one worker
+  // fewer.
+  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
+  lanes_.resize(threads_);
 }
 
 SimulationDriver::~SimulationDriver() = default;
@@ -172,71 +173,53 @@ SimulationDriver::~SimulationDriver() = default;
 template <typename Protocol, typename Apply>
 void SimulationDriver::ExecuteWindow(Protocol* protocol, bool concurrent,
                                      const Apply& apply) {
-  const size_t k = plan_.active_count();
   ++stats_.windows;
+  const size_t nlanes = concurrent && pool_ != nullptr ? lanes_.size() : 1;
 
-  // One active slot: run its arrivals in stream order, then publish the
-  // site for draining if its outbox is non-empty. PendingOutboxSize reads
-  // only the site's own queue (same concurrency contract as SiteUpdate),
-  // and SIZE_MAX — "unknown" — publishes unconditionally, which is always
+  // One lane: run every active site of its home range in ascending order,
+  // each site's arrivals in stream order, then publish the site for
+  // draining if its outbox is non-empty. PendingOutboxSize reads only the
+  // site's own queue (same concurrency contract as SiteUpdate), and
+  // SIZE_MAX — "unknown" — publishes unconditionally, which is always
   // safe: draining an empty site is a no-op in every protocol.
-  const auto run_slot = [&](size_t p, WorkerLane& lane) {
-    const uint32_t site = plan_.site_at(p);
-    size_t len = 0;
-    const uint32_t* rel = plan_.arrivals(p, &len);
-    for (size_t j = 0; j < len; ++j) apply(site, rel[j], lane);
-    if (protocol->PendingOutboxSize(site) > 0) lane.pending.push_back(site);
+  const auto run_lane = [&](size_t lane_id) {
+    WorkerLane& lane = lanes_[lane_id];
+    lane.pending.clear();
+    size_t begin = 0;
+    size_t end = 0;
+    plan_.LaneSlots(lane_id, nlanes, &begin, &end);
+    lane.sites = end - begin;
+    for (size_t p = begin; p < end; ++p) {
+      const uint32_t site = plan_.site_at(p);
+      size_t len = 0;
+      const uint32_t* rel = plan_.arrivals(p, &len);
+      for (size_t j = 0; j < len; ++j) apply(site, rel[j], lane);
+      if (protocol->PendingOutboxSize(site) > 0) lane.pending.push_back(site);
+    }
   };
 
-  if (concurrent && pool_ != nullptr && k > 0) {
-    const size_t nlanes = lanes_.size();
-    const size_t batch =
-        ReservationBatchSize(k, nlanes, options_.sites_per_batch);
-    std::atomic<size_t> cursor{0};
-    // Exactly nlanes lane executions per window, each claiming contiguous
-    // ascending ranges of the active list until the cursor runs dry. The
-    // RunBatch barrier makes all site work happen-before the drain below.
-    pool_->RunBatch(nlanes, [&](size_t lane_id) {
-      WorkerLane& lane = lanes_[lane_id];
-      lane.pending.clear();
-      lane.batches = 0;
-      lane.sites = 0;
-      for (;;) {
-        const size_t begin =
-            cursor.fetch_add(batch, std::memory_order_relaxed);
-        if (begin >= k) break;
-        const size_t end = std::min(k, begin + batch);
-        ++lane.batches;
-        for (size_t p = begin; p < end; ++p) {
-          run_slot(p, lane);
-          ++lane.sites;
-        }
-      }
-    });
-    for (const WorkerLane& lane : lanes_) {
-      stats_.batches_reserved += lane.batches;
-      stats_.sites_scheduled += lane.sites;
-    }
+  // Lane 0 runs here and lane i on pool worker i - 1, every window, so a
+  // site never changes threads. The RunBatch barrier makes all site work
+  // happen-before the drain below.
+  if (nlanes > 1) {
+    pool_->RunBatch(nlanes, run_lane);
   } else {
-    WorkerLane& lane = lanes_[0];
-    lane.pending.clear();
-    for (size_t p = 0; p < k; ++p) run_slot(p, lane);
-    if (k > 0) ++stats_.batches_reserved;
-    stats_.sites_scheduled += k;
-    for (size_t i = 1; i < lanes_.size(); ++i) lanes_[i].pending.clear();
+    run_lane(0);
+  }
+  for (size_t i = 0; i < nlanes; ++i) {
+    if (lanes_[i].sites > 0) ++stats_.batches_reserved;
+    stats_.sites_scheduled += lanes_[i].sites;
   }
 
-  // Coordinator drain. Each lane's pending buffer is ascending (monotone
-  // cursor over an ascending active list, ascending within a batch), and
-  // a site appears in at most one lane, so one sort of the concatenation
-  // reproduces the full scan's ascending-site total order exactly.
+  // Coordinator drain. Each lane's pending buffer is ascending and the
+  // home ranges ascend with the lane id, so the concatenation in lane
+  // order is the full scan's ascending-site total order.
   if (protocol->SupportsTargetedDrain()) {
     drain_sites_.clear();
-    for (const WorkerLane& lane : lanes_) {
-      drain_sites_.insert(drain_sites_.end(), lane.pending.begin(),
-                          lane.pending.end());
+    for (size_t i = 0; i < nlanes; ++i) {
+      drain_sites_.insert(drain_sites_.end(), lanes_[i].pending.begin(),
+                          lanes_[i].pending.end());
     }
-    std::sort(drain_sites_.begin(), drain_sites_.end());
     ++stats_.targeted_drains;
     protocol->SynchronizeSites(drain_sites_.data(), drain_sites_.size());
   } else {

@@ -20,18 +20,21 @@
 //
 // Execution. Each window is partitioned once into a CSR plan over the
 // sites that actually received arrivals (stream::WindowPlan — no O(m)
-// scans, no per-site allocations). The worker pool then runs exactly
-// `threads` lane bodies (ThreadPool::RunBatch); each lane claims large
-// contiguous ranges of the ascending active-site list from one shared
-// atomic cursor (batch reservation) and executes the claimed sites'
-// arrivals in stream order. A site whose outbox holds queued messages
-// after its last arrival is published into the lane's single-producer
-// pending buffer; after the window barrier the coordinator merges those
-// buffers (ascending site ids) and drains exactly the pending sites via
-// SynchronizeSites — the same total order as a full Synchronize() scan,
-// without touching the m - k idle sites. Protocols that cannot drain
-// selectively fall back to Synchronize() (counted as a drain stall in
-// SchedulerStats).
+// scans, no per-site allocations). The driver runs L = `threads` lanes,
+// and lane i owns the fixed home range of site ids [i*m/L, (i+1)*m/L)
+// for the whole run. Lanes are bound to threads: the calling
+// (coordinator) thread runs lane 0 and pool worker j always runs lane
+// j + 1 (ThreadPool::RunBatch), so a site's per-site state stays in one
+// core's cache across windows. Each lane finds its slice of the ascending
+// active-site list by binary search and executes those sites' arrivals in
+// stream order. A site whose outbox holds queued messages after its last
+// arrival is published into the lane's single-producer pending buffer;
+// after the window barrier the coordinator concatenates those buffers in
+// lane order — already ascending, since the home ranges are — and drains
+// exactly the pending sites via SynchronizeSites: the same total order as
+// a full Synchronize() scan, without touching the m - k idle sites.
+// Protocols that cannot drain selectively fall back to Synchronize()
+// (counted as a drain stall in SchedulerStats).
 //
 //   Determinism guarantee: for a fixed (protocol seed, router assignment,
 //   chunk_elements), runs with ANY number of threads produce bit-identical
@@ -39,7 +42,7 @@
 //   execution of the same schedule. Per-site work touches only per-site
 //   state (the protocols' SiteUpdate contract and per-site RNG streams),
 //   per-site network shards, and per-site outboxes, so which lane runs
-//   which batch is scheduling noise; the coordinator phase is
+//   which site is scheduling only; the coordinator phase is
 //   single-threaded and replays the fixed ascending-site order. Only the
 //   SchedulerStats observability counters (e.g. batches_reserved) may
 //   differ across thread counts.
@@ -69,17 +72,15 @@ namespace stream {
 
 /// Driver configuration.
 struct SimulationOptions {
-  /// Worker threads for the site phase. 0 = resolve from the DMT_THREADS
-  /// environment variable, falling back to hardware_concurrency.
+  /// Lanes for the site phase, one of which is the thread calling Run
+  /// (so N lanes spawn N - 1 pool workers). 0 = resolve from the
+  /// DMT_THREADS environment variable, falling back to
+  /// hardware_concurrency.
   size_t threads = 0;
   /// Stream arrivals between two coordinator synchronization points. This
   /// is part of the simulated schedule: changing it changes (slightly) the
   /// message pattern, so keep it fixed when comparing runs.
   size_t chunk_elements = 8192;
-  /// Sites per reservation batch claimed from the window cursor. 0 = auto
-  /// (~4 claims per lane, see stream::ReservationBatchSize). Scheduling
-  /// only — results are identical for any value.
-  size_t sites_per_batch = 0;
 };
 
 /// Effective thread count: `requested` if > 0, else the DMT_THREADS
@@ -144,7 +145,8 @@ class SimulationDriver {
   SimulationDriver(const SimulationDriver&) = delete;
   SimulationDriver& operator=(const SimulationDriver&) = delete;
 
-  /// Effective worker-thread count for the site phase.
+  /// Effective lane count for the site phase (the calling thread plus
+  /// threads() - 1 pool workers).
   size_t threads() const { return threads_; }
   size_t chunk_elements() const { return options_.chunk_elements; }
 
@@ -163,8 +165,8 @@ class SimulationDriver {
   /// Scheduler counters of the most recent Run (reset at each Run start).
   /// windows / sites_scheduled / targeted_drains / drain_stalls are
   /// schedule-determined and thread-count-invariant; batches_reserved
-  /// depends on the lane count (observability, never fed back into the
-  /// simulation).
+  /// (non-empty lane ranges) depends on the lane count (observability,
+  /// never fed back into the simulation).
   const SchedulerStats& scheduler_stats() const { return stats_; }
 
   /// Drives a heavy-hitter protocol: items[i] arrives at sites[i].
@@ -197,8 +199,9 @@ class SimulationDriver {
   void RunImpl(Protocol* protocol, const std::vector<size_t>& sites,
                const std::vector<Item>& items, bool concurrent);
 
-  /// Runs the already-Built plan_'s site phase (batch reservation across
-  /// the lanes, or the single-lane serial walk) and the coordinator drain.
+  /// Runs the already-Built plan_'s site phase (every lane over its home
+  /// range, or one lane over all sites when the protocol is serial) and
+  /// the coordinator drain.
   /// `apply(site, rel, lane)` processes the window-relative arrival `rel`
   /// at `site` using `lane`'s scratch.
   template <typename Protocol, typename Apply>
@@ -207,9 +210,9 @@ class SimulationDriver {
 
   SimulationOptions options_;
   size_t threads_;
-  std::unique_ptr<ThreadPool> pool_;  // only when threads_ > 1
+  std::unique_ptr<ThreadPool> pool_;  // threads_ - 1 workers, if any
   WindowPlan plan_;                   // per-window CSR partition, reused
-  std::vector<WorkerLane> lanes_;     // cache-line-apart worker state
+  std::vector<WorkerLane> lanes_;     // cache-line-apart lane state
   std::vector<uint32_t> drain_sites_; // merged pending sites, ascending
   SchedulerStats stats_;
   std::function<void(const WindowEndInfo&)> window_callback_;

@@ -41,9 +41,9 @@ void WindowPlan::Build(const size_t* sites, size_t count) {
       active_.push_back(static_cast<uint32_t>(s));
     }
   }
-  // Ascending site ids: workers then claim contiguous *site* ranges
-  // (cache-dense walks of the protocols' per-site arrays) and the
-  // coordinator's pending-list merge stays in drain order.
+  // Ascending site ids: each lane's home range is then one contiguous
+  // slice (cache-dense walks of the protocols' per-site arrays), and the
+  // lanes' pending lists concatenate in drain order.
   std::sort(active_.begin(), active_.end());
 
   const size_t k = active_.size();
@@ -62,14 +62,16 @@ void WindowPlan::Build(const size_t* sites, size_t count) {
   }
 }
 
-size_t ReservationBatchSize(size_t active_sites, size_t lanes,
-                            size_t override_size) {
-  if (override_size > 0) return override_size;
-  if (lanes <= 1) return active_sites == 0 ? 1 : active_sites;
-  // ~4 reservations per lane: big contiguous ranges (claim cost and cache
-  // traffic amortized over many sites) while still letting a lane that
-  // drew light sites steal more work.
-  return std::max<size_t>(1, active_sites / (lanes * 4));
+void WindowPlan::LaneSlots(size_t lane, size_t lanes, size_t* begin,
+                           size_t* end) const {
+  DMT_CHECK_LT(lane, lanes);
+  const auto first_at = [this](size_t site) {
+    return static_cast<size_t>(
+        std::lower_bound(active_.begin(), active_.end(), site) -
+        active_.begin());
+  };
+  *begin = first_at(lane * num_sites_ / lanes);
+  *end = first_at((lane + 1) * num_sites_ / lanes);
 }
 
 }  // namespace stream

@@ -1,12 +1,10 @@
-// Batch-reservation window scheduling: the SoA work plan and per-worker
-// lanes behind stream::SimulationDriver.
+// Home-range window scheduling: the SoA work plan and per-lane state
+// behind stream::SimulationDriver.
 //
-// The driver's unit of parallelism used to be "one pool task per site per
-// window". At m sites that is m task allocations, m queue round-trips and
-// m futures per synchronization window — fine at m = 32, fatal at
-// m = 10^5 (the scheduling overhead drowns the per-site sketch work and
-// the parallel driver clocks <= 1.0x; see BENCH_parallel_sites.json
-// history). The replacement here has three parts:
+// The driver runs `L` lanes. Lane i owns the fixed home range of site ids
+// [i*m/L, (i+1)*m/L) for the whole run and always runs on the same thread
+// (util/thread_pool.h binds RunBatch slot i to one thread), so a site's
+// state stays in one core's cache from window to window. Three parts:
 //
 //  1. WindowPlan — a structure-of-arrays partition of one window's
 //     arrivals into per-site runs (CSR layout: ascending active-site
@@ -14,25 +12,28 @@
 //     arrivals + k log k) per window where k is the number of sites that
 //     actually received something. Nothing is ever scanned per-site over
 //     all m sites, and the site-keyed scratch arrays are cache-line
-//     aligned (util/aligned.h) and reused across windows.
+//     aligned (util/aligned.h) and reused across windows. A lane finds
+//     its slice of the active list by binary search at its home range's
+//     boundaries (LaneSlots).
 //
-//  2. WorkerLane — per-worker state, one cache line apart: the SPSC
-//     pending-site publication buffer (written only by the owning worker
+//  2. WorkerLane — per-lane state, one cache line apart: the SPSC
+//     pending-site publication buffer (written only by the owning lane
 //     during the site phase, read only by the coordinator after the
 //     window barrier — single producer, single consumer, no locks), the
-//     streaming path's row scratch, and reservation counters.
+//     streaming path's row scratch, and the lane's site count.
 //
-//  3. SchedulerStats — observability counters (batches reserved, sites
-//     scheduled, targeted drains vs full-scan drain stalls) emitted into
-//     the BENCH_parallel_sites.json envelope.
+//  3. SchedulerStats — observability counters (non-empty lane ranges,
+//     sites scheduled, targeted drains vs full-scan drain stalls) emitted
+//     into the BENCH_parallel_sites.json envelope.
 //
-// Workers claim contiguous ranges of the active-site list from a single
-// atomic cursor (batch reservation). Because the cursor is monotone and a
-// batch is an ascending slice of an ascending list, every lane's pending
-// buffer comes out sorted by site id, and the coordinator's drain merge
-// reproduces today's ascending-site total order exactly. Which lane runs
-// which batch is scheduling noise — per-site results never depend on it,
-// which is what keeps replay bit-identical for any thread count.
+// Each lane walks its slice in ascending order and the home ranges are
+// ascending in lane order, so the lanes' pending buffers, concatenated in
+// lane order, are already the ascending-site total order the coordinator
+// drains in — no sort. Which lane runs which site is scheduling only:
+// per-site results never depend on it, which is what keeps replay
+// bit-identical for any lane count. There is no work stealing: a stolen
+// site would move its state to another core, the cost this design
+// removes.
 #ifndef DMT_STREAM_SITE_SCHEDULE_H_
 #define DMT_STREAM_SITE_SCHEDULE_H_
 
@@ -45,11 +46,12 @@
 namespace dmt {
 namespace stream {
 
-/// Deterministic aggregate counters for the batch-reservation scheduler.
+/// Deterministic aggregate counters for the home-range scheduler.
 /// Reset at the start of every SimulationDriver::Run.
 struct SchedulerStats {
   uint64_t windows = 0;           ///< synchronization windows executed
-  uint64_t batches_reserved = 0;  ///< ranges claimed from the cursor
+  uint64_t batches_reserved = 0;  ///< non-empty lane ranges run, summed
+                                  ///< over windows
   uint64_t sites_scheduled = 0;   ///< site-window executions
   uint64_t targeted_drains = 0;   ///< windows drained via pending lists
   uint64_t drain_stalls = 0;      ///< windows that fell back to a full
@@ -63,8 +65,8 @@ struct SchedulerStats {
   }
 };
 
-/// Per-worker lane, padded to a cache line so concurrent lanes never
-/// false-share. All fields are owned by exactly one worker between two
+/// Per-lane state, padded to a cache line so concurrent lanes never
+/// false-share. All fields are owned by the lane's thread between two
 /// window barriers; the coordinator reads them only after the barrier.
 struct alignas(kCacheLineBytes) WorkerLane {
   /// SPSC publication buffer: sites this lane ran that still hold queued
@@ -72,8 +74,7 @@ struct alignas(kCacheLineBytes) WorkerLane {
   std::vector<uint32_t> pending;
   /// Streaming-path row staging (one per lane, not one per site task).
   std::vector<double> row_scratch;
-  uint64_t batches = 0;  ///< ranges this lane claimed this window
-  uint64_t sites = 0;    ///< sites this lane executed this window
+  uint64_t sites = 0;  ///< sites this lane executed this window
 };
 
 /// The SoA partition of one synchronization window's arrivals.
@@ -85,7 +86,7 @@ struct alignas(kCacheLineBytes) WorkerLane {
 ///   - per-active-site runs: the window-relative arrival indices of that
 ///     site, in stream order (CSR: offsets_ into idx_).
 /// Executing run p's arrivals in order, for all p, on any partition of
-/// the active list across workers, is exactly the serial window schedule.
+/// the active list across lanes, is exactly the serial window schedule.
 class WindowPlan {
  public:
   /// Sizes the site-keyed scratch arrays; call once per Run.
@@ -106,6 +107,11 @@ class WindowPlan {
     *len = offsets_[p + 1] - offsets_[p];
     return idx_.data() + offsets_[p];
   }
+  /// Active slots [*begin, *end) of lane `lane` out of `lanes`: the
+  /// active sites in the lane's home range [lane*m/lanes,
+  /// (lane+1)*m/lanes), m = num_sites(). O(log active_count()).
+  void LaneSlots(size_t lane, size_t lanes, size_t* begin,
+                 size_t* end) const;
 
  private:
   size_t num_sites_ = 0;
@@ -121,13 +127,6 @@ class WindowPlan {
   CacheAlignedVector<uint32_t> idx_;      // flattened arrival indices
   CacheAlignedVector<uint32_t> fill_;     // per-slot fill cursor (Build)
 };
-
-/// Batch size for reserving active-list ranges: large enough to amortize
-/// the cursor claim and keep each worker on a contiguous ascending site
-/// range, small enough to leave ~4 claims per lane for load balance.
-/// `override_size` > 0 (SimulationOptions::sites_per_batch) wins.
-size_t ReservationBatchSize(size_t active_sites, size_t lanes,
-                            size_t override_size);
 
 }  // namespace stream
 }  // namespace dmt

@@ -1,14 +1,14 @@
 // Cache-line-aligned storage for hot per-site arrays.
 //
-// The batch-reservation scheduler walks structure-of-arrays site state
-// (cursors, offsets, pending counts) from several worker threads at once.
+// The driver's lanes walk structure-of-arrays site state (offsets,
+// pending counts) from several threads at once.
 // Aligning each array's base to the cache-line size guarantees that array
 // element 0 never straddles a line shared with an unrelated allocation,
 // so two workers touching *different* arrays can never false-share, and
 // contiguous site ranges map to contiguous, predictably-aligned lines.
-// (Within one array, adjacent sites still share a line — by design: the
-// scheduler hands each worker a contiguous site range, so cross-worker
-// sharing happens only at the two range boundaries.)
+// (Within one array, adjacent sites still share a line — by design: each
+// lane owns a contiguous home range of sites, so cross-lane sharing
+// happens only at the two range boundaries.)
 #ifndef DMT_UTIL_ALIGNED_H_
 #define DMT_UTIL_ALIGNED_H_
 

@@ -7,11 +7,11 @@
 
 namespace dmt {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  const size_t n = std::max<size_t>(num_threads, 1);
+ThreadPool::ThreadPool(size_t num_workers) {
+  const size_t n = std::max<size_t>(num_workers, 1);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
   }
 }
 
@@ -20,37 +20,36 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
+  start_cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> wrapped(std::move(task));
-  std::future<void> future = wrapped.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DMT_CHECK(!stopping_);
-    queue_.push(std::move(wrapped));
-  }
-  cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::RunBatch(size_t fanout,
                           const std::function<void(size_t)>& task) {
   if (fanout == 0) return;
+  DMT_CHECK_LE(fanout, workers_.size() + 1);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    DMT_CHECK(!stopping_);
+    DMT_CHECK(batch_task_ == nullptr);  // no nested or concurrent batches
+    batch_task_ = &task;
+    batch_fanout_ = fanout;
+    batch_running_ = fanout - 1;
+    batch_error_ = nullptr;
+    ++batch_round_;
+  }
+  if (fanout > 1) start_cv_.notify_all();
+
+  std::exception_ptr own_error;
+  try {
+    task(0);
+  } catch (...) {
+    own_error = std::current_exception();
+  }
+
   std::unique_lock<std::mutex> lock(mutex_);
-  DMT_CHECK(!stopping_);
-  DMT_CHECK(!batch_active_);  // no nested or concurrent batches
-  batch_task_ = &task;
-  batch_fanout_ = fanout;
-  batch_next_ = 0;
-  batch_done_ = 0;
-  batch_error_ = nullptr;
-  batch_active_ = true;
-  cv_.notify_all();
-  batch_done_cv_.wait(lock, [this] { return batch_done_ == batch_fanout_; });
-  batch_active_ = false;
+  if (own_error && !batch_error_) batch_error_ = std::move(own_error);
+  done_cv_.wait(lock, [this] { return batch_running_ == 0; });
   batch_task_ = nullptr;
   std::exception_ptr error = std::move(batch_error_);
   batch_error_ = nullptr;
@@ -58,39 +57,29 @@ void ThreadPool::RunBatch(size_t fanout,
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t slot) {
+  uint64_t seen_round = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    cv_.wait(lock, [this] {
-      return stopping_ || !queue_.empty() ||
-             (batch_active_ && batch_next_ < batch_fanout_);
+    start_cv_.wait(lock, [&] {
+      return stopping_ || batch_round_ != seen_round;
     });
-    if (batch_active_ && batch_next_ < batch_fanout_) {
-      const size_t slot = batch_next_++;
-      const std::function<void(size_t)>* task = batch_task_;
-      lock.unlock();
-      std::exception_ptr error;
-      try {
-        (*task)(slot);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      if (error && !batch_error_) batch_error_ = std::move(error);
-      if (++batch_done_ == batch_fanout_) batch_done_cv_.notify_one();
-      continue;
+    // RunBatch blocks until its batch completes, so shutdown never races
+    // a batch this worker still owes a slot to.
+    if (stopping_) return;
+    seen_round = batch_round_;
+    if (slot >= batch_fanout_) continue;  // this batch does not need us
+    const std::function<void(size_t)>* task = batch_task_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      (*task)(slot);
+    } catch (...) {
+      error = std::current_exception();
     }
-    if (!queue_.empty()) {
-      std::packaged_task<void()> task = std::move(queue_.front());
-      queue_.pop();
-      lock.unlock();
-      // packaged_task catches the task's exception and stores it in the
-      // shared state; the submitter sees it on future.get().
-      task();
-      lock.lock();
-      continue;
-    }
-    if (stopping_) return;  // queue drained, no batch work left
+    lock.lock();
+    if (error && !batch_error_) batch_error_ = std::move(error);
+    if (--batch_running_ == 0) done_cv_.notify_one();
   }
 }
 

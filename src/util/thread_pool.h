@@ -1,28 +1,26 @@
 // Fixed-size thread pool for the parallel site simulation.
 //
-// Two submission paths:
+// The pool runs one shared callable over `fanout` lane slots per batch
+// (RunBatch), with a fixed slot-to-thread binding: slot 0 runs on the
+// calling thread and slot i >= 1 always runs on worker i - 1. A caller
+// that keeps the same work on the same slot from batch to batch (the
+// simulation driver gives every lane a fixed home range of sites) keeps
+// that work's state in one core's cache for the whole run. The caller
+// doing slot 0 itself also saves one wake-up per batch: a pool of N - 1
+// workers gives N lanes.
 //
-//  - Submit(): a single FIFO queue guarded by one mutex — one
-//    packaged_task + future per call. Fine for coarse, infrequent tasks
-//    (and kept for compatibility), but per-task allocation and queue
-//    traffic dominate when the work units are small.
-//
-//  - RunBatch(): the batch-reservation path the simulation driver uses.
-//    One shared callable is broadcast to the workers; each worker claims
-//    lane slots from a shared cursor and runs the callable once per slot.
-//    No per-task queue nodes, futures, or heap allocations — the per-window
-//    scheduling cost is one lock/notify cycle regardless of how many
-//    sites the window touches.
+// The per-batch cost is one lock/notify cycle to start the workers and
+// one to collect them — no per-task queue nodes, futures or heap
+// allocations.
 #ifndef DMT_UTIL_THREAD_POOL_H_
 #define DMT_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -30,62 +28,52 @@
 
 namespace dmt {
 
-/// Fixed pool of worker threads consuming a shared FIFO task queue plus a
-/// broadcast batch channel.
+/// Fixed pool of worker threads, each bound to one RunBatch slot.
 ///
-/// Tasks may be submitted from any thread. Exceptions thrown by a task are
-/// captured and rethrown (from the matching future's get() for Submit, or
-/// from RunBatch itself). The pool is reusable: once submitted work
-/// drains, further Submit/RunBatch calls behave identically (nothing is
-/// torn down between batches).
+/// Exceptions thrown by a slot are captured and rethrown from RunBatch
+/// once every slot has finished. The pool is reusable: nothing is torn
+/// down between batches.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; 0 is clamped to 1.
-  explicit ThreadPool(size_t num_threads);
+  /// Spawns `num_workers` workers; 0 is clamped to 1.
+  explicit ThreadPool(size_t num_workers);
 
-  /// Signals shutdown and joins all workers. Queued tasks still run.
+  /// Signals shutdown and joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task`; the future resolves when it finishes (or rethrows
-  /// what it threw). Must not be called after destruction has begun.
-  std::future<void> Submit(std::function<void()> task);
-
-  /// Runs `task(slot)` once for every slot in [0, fanout), spread across
-  /// the pool's workers, and blocks the caller until every slot has
-  /// finished. Slots are claimed by idle workers from a single shared
-  /// cursor, so fanout may exceed the worker count (excess slots run as
-  /// workers free up). Every slot runs even if an earlier one throws; the
-  /// first captured exception is rethrown here after the barrier — the
-  /// all-slots-complete guarantee the simulation driver's window schedule
-  /// relies on. Must not be called concurrently with itself or from
-  /// inside a pool task.
+  /// Runs `task(slot)` once for every slot in [0, fanout) and blocks until
+  /// every slot has finished. Slot 0 runs on the calling thread; slot
+  /// i >= 1 always runs on worker i - 1, in every batch. Requires
+  /// `fanout <= size() + 1` (checked). Every slot runs even if another one
+  /// throws, slot 0 included; the first captured exception is rethrown
+  /// here after all slots are done — the all-slots-complete guarantee the
+  /// simulation driver's window schedule relies on. Must not be called
+  /// concurrently with itself or from inside a pool task.
   void RunBatch(size_t fanout, const std::function<void(size_t)>& task);
 
-  /// Number of worker threads.
+  /// Number of worker threads (RunBatch takes up to size() + 1 slots).
   size_t size() const { return workers_.size(); }
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(size_t slot);
 
   std::mutex mutex_;
-  std::condition_variable cv_;
-  DMT_GUARDED_BY(mutex_) std::queue<std::packaged_task<void()>> queue_;
+  std::condition_variable start_cv_;  // workers: a new batch or shutdown
+  std::condition_variable done_cv_;   // caller: the last worker slot ended
   DMT_GUARDED_BY(mutex_) bool stopping_ = false;
-
-  // Batch channel (all guarded by mutex_; the callable itself runs
-  // unlocked). `batch_task_` points at RunBatch's argument, which outlives
-  // the batch because RunBatch blocks until batch_done_ == batch_fanout_.
+  // The current batch. `batch_task_` points at RunBatch's argument, which
+  // outlives the batch because RunBatch blocks until batch_running_ is 0.
+  // A worker joins a batch when batch_round_ moves past the last round it
+  // saw and its slot is below batch_fanout_.
   DMT_GUARDED_BY(mutex_)
   const std::function<void(size_t)>* batch_task_ = nullptr;
   DMT_GUARDED_BY(mutex_) size_t batch_fanout_ = 0;
-  DMT_GUARDED_BY(mutex_) size_t batch_next_ = 0;  // next unclaimed slot
-  DMT_GUARDED_BY(mutex_) size_t batch_done_ = 0;  // completed slots
-  DMT_GUARDED_BY(mutex_) bool batch_active_ = false;
+  DMT_GUARDED_BY(mutex_) uint64_t batch_round_ = 0;
+  DMT_GUARDED_BY(mutex_) size_t batch_running_ = 0;  // worker slots left
   DMT_GUARDED_BY(mutex_) std::exception_ptr batch_error_;
-  std::condition_variable batch_done_cv_;
 
   std::vector<std::thread> workers_;
 };

@@ -1,14 +1,16 @@
-// Large-m determinism and drain-order tests for the batch-reservation
-// scheduler (stream/site_schedule.h + SimulationDriver::ExecuteWindow).
+// Large-m determinism, drain-order and site-affinity tests for the
+// home-range scheduler (stream/site_schedule.h +
+// SimulationDriver::ExecuteWindow).
 //
 // The fine-grained contracts: (1) at m = 10^5 sites — the regime the
 // scheduler was built for — results stay bit-identical across 1/2/8
 // threads and across router policies; (2) the coordinator's targeted
-// drain (SynchronizeSites over the merged lane pending-buffers) visits
-// sites in strictly ascending order, exactly the sites with queued
+// drain (SynchronizeSites over the concatenated lane pending-buffers)
+// visits sites in strictly ascending order, exactly the sites with queued
 // messages, no matter how the lanes carved up the window; (3) forcing a
 // protocol onto the full-scan Synchronize() fallback changes counters
-// only, never results.
+// only, never results; (4) every site runs on one thread for the whole
+// run — its lane's — and lane 0 is the thread that called Run.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataset.h"
+#include "data/synthetic_matrix.h"
 #include "data/zipf.h"
 #include "hh/p2_threshold.h"
 #include "matrix/mp1_batched_fd.h"
@@ -77,8 +81,8 @@ void ExpectIdentical(const HhFingerprint& a, const HhFingerprint& b) {
 }
 
 // m = 10^5 sites, ~2 arrivals per site: windows where nearly every active
-// site has exactly one arrival, many sites never activate, and the
-// batch-reservation cursor hands out thousands of ranges per window.
+// site has exactly one arrival, many sites never activate, and each
+// lane's slice of the active list holds thousands of sites per window.
 TEST(ParallelScaleTest, LargeMHeavyHitterBitIdenticalAcrossThreads) {
   const size_t kM = 100000;
   const size_t kN = 200000;
@@ -287,40 +291,14 @@ TEST(ParallelScaleTest, FullScanFallbackIsBitEquivalent) {
   }
 }
 
-// Batch-size override is scheduling only: pathological sizes (1 site per
-// claim, everything in one claim) produce identical results.
-TEST(ParallelScaleTest, SitesPerBatchOverrideDoesNotChangeResults) {
-  const size_t kM = 256;
-  const size_t kN = 30000;
-  const std::vector<WeightedUpdate> items = MakeItems(kN, kSeed + 8);
-  Router router(kM, RoutingPolicy::kUniform, kSeed + 9);
-  const std::vector<size_t> sites = AssignSites(&router, kN);
-
-  HhFingerprint reference;
-  bool first = true;
-  for (size_t batch : {size_t{0}, size_t{1}, size_t{1000000}}) {
-    hh::P2Threshold protocol(kM, 0.1);
-    SimulationOptions opt;
-    opt.threads = 4;
-    opt.chunk_elements = 2048;
-    opt.sites_per_batch = batch;
-    SimulationDriver driver(opt);
-    driver.Run(&protocol, sites, items);
-    if (first) {
-      reference = FingerprintOf(protocol);
-      first = false;
-    } else {
-      ExpectIdentical(reference, FingerprintOf(protocol));
-    }
-  }
-}
-
 TEST(ParallelScaleTest, SchedulerCountersAreCoherent) {
   const size_t kM = 64;
   const size_t kN = 10000;
   const std::vector<WeightedUpdate> items = MakeItems(kN, kSeed + 10);
   Router router(kM, RoutingPolicy::kUniform, kSeed + 11);
   const std::vector<size_t> sites = AssignSites(&router, kN);
+
+  ASSERT_EQ(*std::max_element(sites.begin(), sites.end()) + 1, kM);
 
   hh::P2Threshold protocol(kM, 0.1);
   SimulationOptions opt;
@@ -333,21 +311,154 @@ TEST(ParallelScaleTest, SchedulerCountersAreCoherent) {
   const auto ends = WindowEnds(kN, 1024, kM);
   EXPECT_EQ(s.windows, ends.size());
   EXPECT_EQ(s.targeted_drains + s.drain_stalls, s.windows);
-  EXPECT_GE(s.batches_reserved, s.windows);  // >= 1 claim per window
-  EXPECT_GT(s.mean_sites_per_batch(), 0.0);
   // sites_scheduled counts each (window, active site) pair exactly once:
   // it must equal the sum of per-window distinct-site counts, which is
-  // schedule-determined (thread-count-invariant).
+  // schedule-determined (thread-count-invariant). batches_reserved counts
+  // the lanes whose home range [i*m/L, (i+1)*m/L) held an active site.
+  const size_t lanes = driver.threads();
   uint64_t expected_scheduled = 0;
+  uint64_t expected_ranges = 0;
   size_t begin = 0;
   for (size_t end : ends) {
     std::vector<size_t> active(sites.begin() + begin, sites.begin() + end);
     std::sort(active.begin(), active.end());
     active.erase(std::unique(active.begin(), active.end()), active.end());
     expected_scheduled += active.size();
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      const auto first = std::lower_bound(active.begin(), active.end(),
+                                          lane * kM / lanes);
+      if (first != active.end() && *first < (lane + 1) * kM / lanes) {
+        ++expected_ranges;
+      }
+    }
     begin = end;
   }
   EXPECT_EQ(s.sites_scheduled, expected_scheduled);
+  EXPECT_EQ(s.batches_reserved, expected_ranges);
+  EXPECT_GE(s.batches_reserved, s.windows);
+  EXPECT_LE(s.batches_reserved, s.windows * lanes);
+}
+
+// Records the thread of every SiteUpdate, per site. A site's record is
+// written only by the lane that runs the site in a window, and windows
+// are separated by the driver's barrier, so plain per-site fields are
+// race-free even if the binding under test were broken.
+class ThreadRecorder : public matrix::MatrixTrackingProtocol {
+ public:
+  explicit ThreadRecorder(size_t num_sites)
+      : owner_(num_sites), calls_(num_sites, 0), moved_(num_sites, 0) {}
+
+  void ProcessRow(size_t site, const std::vector<double>& row) override {
+    SiteUpdate(site, row);
+  }
+  void SiteUpdate(size_t site, const std::vector<double>&) override {
+    const std::thread::id self = std::this_thread::get_id();
+    if (calls_[site]++ == 0) {
+      owner_[site] = self;
+    } else if (owner_[site] != self) {
+      moved_[site] = 1;
+    }
+  }
+  void SynchronizeSites(const uint32_t*, size_t) override {}
+  bool SupportsTargetedDrain() const override { return true; }
+  size_t PendingOutboxSize(size_t) const override { return 0; }
+  bool SupportsConcurrentSiteUpdates() const override { return true; }
+
+  linalg::Matrix CoordinatorSketch() const override { return {}; }
+  const CommStats& comm_stats() const override { return stats_; }
+  std::vector<uint64_t> per_site_messages() const override { return {}; }
+  std::string name() const override { return "thread-recorder"; }
+
+  size_t num_sites() const { return owner_.size(); }
+  uint64_t calls(size_t site) const { return calls_[site]; }
+  bool moved(size_t site) const { return moved_[site] != 0; }
+  std::thread::id owner(size_t site) const { return owner_[site]; }
+
+ private:
+  std::vector<std::thread::id> owner_;  // thread of the first call
+  std::vector<uint64_t> calls_;
+  std::vector<uint8_t> moved_;  // a later call came from another thread
+  CommStats stats_;
+};
+
+// Every site ran on one thread; lane i's home range [i*m/L, (i+1)*m/L)
+// ran on one thread per lane, a different one for each lane; lane 0's
+// thread is `caller`. Every lane must have had work.
+void ExpectSitesStayOnLaneThreads(const ThreadRecorder& rec, size_t lanes,
+                                  std::thread::id caller) {
+  const size_t m = rec.num_sites();
+  std::vector<std::thread::id> lane_thread(lanes);
+  for (size_t lane = 0; lane < lanes; ++lane) {
+    for (size_t s = lane * m / lanes; s < (lane + 1) * m / lanes; ++s) {
+      if (rec.calls(s) == 0) continue;
+      EXPECT_FALSE(rec.moved(s)) << "site " << s << " changed threads";
+      if (lane_thread[lane] == std::thread::id()) {
+        lane_thread[lane] = rec.owner(s);
+      }
+      EXPECT_EQ(rec.owner(s), lane_thread[lane])
+          << "site " << s << " ran off lane " << lane << "'s thread";
+    }
+    ASSERT_NE(lane_thread[lane], std::thread::id()) << "lane " << lane;
+  }
+  EXPECT_EQ(lane_thread[0], caller);
+  for (size_t a = 0; a < lanes; ++a) {
+    for (size_t b = a + 1; b < lanes; ++b) {
+      EXPECT_NE(lane_thread[a], lane_thread[b])
+          << "lanes " << a << " and " << b;
+    }
+  }
+}
+
+constexpr RoutingPolicy kAllPolicies[] = {
+    RoutingPolicy::kUniform, RoutingPolicy::kRoundRobin,
+    RoutingPolicy::kSkewed};
+
+TEST(ParallelScaleTest, MaterializedRunKeepsEverySiteOnItsLaneThread) {
+  const size_t kM = 61;  // prime: home ranges of unequal length
+  const size_t kN = 6000;
+  const std::vector<std::vector<double>> rows(kN,
+                                              std::vector<double>(4, 1.0));
+  for (RoutingPolicy policy : kAllPolicies) {
+    Router router(kM, policy, kSeed + 12);
+    const std::vector<size_t> sites = AssignSites(&router, kN);
+    ASSERT_EQ(*std::max_element(sites.begin(), sites.end()) + 1, kM);
+    for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+      SCOPED_TRACE(testing::Message() << "policy "
+                                      << static_cast<int>(policy)
+                                      << ", threads " << threads);
+      ThreadRecorder rec(kM);
+      SimulationOptions opt;
+      opt.threads = threads;
+      opt.chunk_elements = 256;
+      SimulationDriver driver(opt);
+      driver.Run(&rec, sites, rows);
+      ExpectSitesStayOnLaneThreads(rec, driver.threads(),
+                                   std::this_thread::get_id());
+    }
+  }
+}
+
+TEST(ParallelScaleTest, StreamingRunKeepsEverySiteOnItsLaneThread) {
+  const size_t kM = 61;
+  const size_t kN = 6000;
+  for (RoutingPolicy policy : kAllPolicies) {
+    for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+      SCOPED_TRACE(testing::Message() << "policy "
+                                      << static_cast<int>(policy)
+                                      << ", threads " << threads);
+      data::SyntheticSource source(
+          data::SyntheticMatrixGenerator::PamapLike(kSeed + 13), kN);
+      Router router(kM, policy, kSeed + 14);
+      ThreadRecorder rec(kM);
+      SimulationOptions opt;
+      opt.threads = threads;
+      opt.chunk_elements = 256;
+      SimulationDriver driver(opt);
+      ASSERT_EQ(driver.Run(&rec, &router, &source, kN), kN);
+      ExpectSitesStayOnLaneThreads(rec, driver.threads(),
+                                   std::this_thread::get_id());
+    }
+  }
 }
 
 // Satellite contract: a present --threads flag / DMT_THREADS variable must

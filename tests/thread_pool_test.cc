@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -12,72 +11,25 @@
 namespace dmt {
 namespace {
 
-TEST(ThreadPoolTest, CompletesAllTasksUnderContention) {
-  ThreadPool pool(8);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  const int kTasks = 2000;
-  futures.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, PropagatesTaskExceptionThroughFuture) {
-  ThreadPool pool(2);
-  std::future<void> ok = pool.Submit([] {});
-  std::future<void> bad =
-      pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The pool survives a throwing task: later work still runs.
-  EXPECT_NO_THROW(pool.Submit([] {}).get());
-}
-
-TEST(ThreadPoolTest, ReusableAfterDrain) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 50; ++i) {
-      futures.push_back(pool.Submit([&counter] { ++counter; }));
-    }
-    for (auto& f : futures) f.get();  // fully drained between rounds
-    EXPECT_EQ(counter.load(), (round + 1) * 50);
-  }
-}
-
 TEST(ThreadPoolTest, ZeroTasksDestructsCleanly) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
-  // No submissions; destructor must not hang or crash.
+  // No batches; destructor must not hang or crash.
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-  EXPECT_NO_THROW(pool.Submit([] {}).get());
-}
-
-TEST(ThreadPoolTest, SingleThreadRunsTasksInSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+  std::atomic<int> ran{0};
+  pool.RunBatch(2, [&ran](size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ThreadPoolTest, RunBatchRunsEverySlotExactlyOnce) {
-  ThreadPool pool(8);
-  const size_t kFanout = 1000;
+  ThreadPool pool(7);
+  const size_t kFanout = pool.size() + 1;
   std::vector<std::atomic<int>> hits(kFanout);
   for (auto& h : hits) h.store(0);
   pool.RunBatch(kFanout, [&hits](size_t slot) {
@@ -92,63 +44,98 @@ TEST(ThreadPoolTest, RunBatchZeroFanoutReturnsImmediately) {
   pool.RunBatch(0, [](size_t) { FAIL() << "no slot should run"; });
 }
 
+TEST(ThreadPoolTest, RunBatchRunsSlotZeroOnCaller) {
+  ThreadPool pool(3);
+  for (size_t fanout = 1; fanout <= pool.size() + 1; ++fanout) {
+    std::vector<std::thread::id> ran_on(fanout);
+    pool.RunBatch(fanout, [&ran_on](size_t slot) {
+      ran_on[slot] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id()) << "fanout " << fanout;
+    for (size_t slot = 1; slot < fanout; ++slot) {
+      EXPECT_NE(ran_on[slot], std::this_thread::get_id())
+          << "fanout " << fanout << ", slot " << slot;
+    }
+  }
+}
+
+// The binding the driver's site affinity rests on: slot i lands on the
+// same thread in every batch, whatever the fanout, and distinct slots
+// never share a thread.
+TEST(ThreadPoolTest, RunBatchPinsEachSlotToOneThread) {
+  ThreadPool pool(3);
+  const size_t kSlots = pool.size() + 1;
+  std::vector<std::thread::id> first(kSlots);
+  pool.RunBatch(kSlots, [&first](size_t slot) {
+    first[slot] = std::this_thread::get_id();
+  });
+  for (size_t a = 0; a < kSlots; ++a) {
+    for (size_t b = a + 1; b < kSlots; ++b) EXPECT_NE(first[a], first[b]);
+  }
+  for (int round = 0; round < 200; ++round) {
+    // Vary the fanout so that idle workers miss some batches entirely.
+    const size_t fanout = 1 + static_cast<size_t>(round) % kSlots;
+    std::vector<std::thread::id> now(fanout);
+    pool.RunBatch(fanout, [&now](size_t slot) {
+      now[slot] = std::this_thread::get_id();
+    });
+    for (size_t slot = 0; slot < fanout; ++slot) {
+      ASSERT_EQ(now[slot], first[slot])
+          << "round " << round << ", slot " << slot;
+    }
+  }
+}
+
+// Every slot finishes before RunBatch rethrows, whichever slot threw —
+// including slot 0, which throws on the caller while the workers are
+// still running.
 TEST(ThreadPoolTest, RunBatchCompletesAllSlotsBeforeRethrowing) {
   ThreadPool pool(4);
-  std::atomic<int> done{0};
-  EXPECT_THROW(
-      pool.RunBatch(64,
-                    [&done](size_t slot) {
-                      done.fetch_add(1, std::memory_order_relaxed);
-                      if (slot == 3) throw std::runtime_error("boom");
-                    }),
-      std::runtime_error);
-  // All-slots-complete barrier: every slot ran even though one threw.
-  EXPECT_EQ(done.load(), 64);
-  // The pool survives: both submission paths still work.
+  const size_t kFanout = pool.size() + 1;
+  for (size_t thrower : {size_t{0}, size_t{3}}) {
+    std::atomic<size_t> done{0};
+    EXPECT_THROW(
+        pool.RunBatch(kFanout,
+                      [&done, thrower](size_t slot) {
+                        if (slot == thrower) {
+                          throw std::runtime_error("boom");
+                        }
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        done.fetch_add(1, std::memory_order_relaxed);
+                      }),
+        std::runtime_error);
+    // All-slots-complete barrier: every other slot ran to its end.
+    EXPECT_EQ(done.load(), kFanout - 1) << "slot " << thrower << " threw";
+  }
+  // The pool survives.
   std::atomic<int> after{0};
-  pool.RunBatch(8, [&after](size_t) { ++after; });
-  EXPECT_EQ(after.load(), 8);
-  EXPECT_NO_THROW(pool.Submit([] {}).get());
+  pool.RunBatch(kFanout, [&after](size_t) {
+    after.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(after.load(), static_cast<int>(kFanout));
 }
 
 TEST(ThreadPoolTest, RunBatchReusableAcrossRounds) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int round = 0; round < 50; ++round) {
-    pool.RunBatch(17, [&counter](size_t) {
+    pool.RunBatch(4, [&counter](size_t) {
       counter.fetch_add(1, std::memory_order_relaxed);
     });
   }
-  EXPECT_EQ(counter.load(), 50 * 17);
+  EXPECT_EQ(counter.load(), 50 * 4);
 }
 
-TEST(ThreadPoolTest, RunBatchInterleavesWithSubmit) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 10; ++round) {
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 20; ++i) {
-      futures.push_back(pool.Submit([&counter] { ++counter; }));
-    }
-    for (auto& f : futures) f.get();
-    pool.RunBatch(20, [&counter](size_t) { ++counter; });
-  }
-  EXPECT_EQ(counter.load(), 10 * 40);
-}
-
-TEST(ThreadPoolTest, QueuedTasksRunBeforeShutdownJoins) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(10));
-        ++counter;
-      });
-    }
-    // Destructor runs here with work still queued.
-  }
-  EXPECT_EQ(counter.load(), 200);
+TEST(ThreadPoolDeathTest, RunBatchRejectsMoreSlotsThanThreads) {
+  // The pool is built inside the death statement, so its workers exist
+  // only in the forked child.
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.RunBatch(4, [](size_t) {});
+      },
+      "DMT_CHECK failed");
 }
 
 }  // namespace
