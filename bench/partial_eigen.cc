@@ -5,16 +5,16 @@
 //   DMT_SCALE=small|default|paper selects the (ell, d) sweep; small keeps
 //   the CI smoke run to the d=256 column. Every scale also measures
 //   (ell, d) = (20, 44), protocol MP1's coordinator shape on PAMAP-like
-//   data, where the Lanczos basis would span R^d and TopK takes its
-//   dense route.
+//   data, where the Lanczos basis would span R^d and the solver takes
+//   its dense route.
 //
 // Two comparisons per (ell, d) point:
 //  * solver: top ell+1 eigenpairs of a 2*ell x d buffer's Gram — thick
-//    restart Lanczos (linalg/lanczos.h; row matvecs when 2*ell < d, so
-//    the Gram is never materialized) against the full-spectrum route
-//    (blocked Gram build + Householder-QL SymmetricEigen, `dense_seconds`),
-//    each the fastest of three calls, with the eigenvalue agreement
-//    reported and gated.
+//    restart Lanczos (linalg/lanczos.h TopKOfRows; row matvecs when
+//    2*ell < d, so the Gram is never materialized) against the
+//    full-spectrum route (blocked Gram build + Householder-QL
+//    SymmetricEigen, `dense_seconds`), each the fastest of three calls,
+//    with the eigenvalue agreement reported and gated.
 //  * fd_stream: FrequentDirections streaming throughput with the Lanczos
 //    shrink backend vs the Jacobi reference backend, with the final
 //    covariance error of both sketches against the exact Gram — the two
@@ -87,9 +87,9 @@ SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
     Timer t;
     linalg::LanczosOptions opts;
     opts.tol = 1e-11;
-    info = n < d ? linalg::LanczosTopKOfRows(buffer, k, &vals, &vecs, opts)
-                 : linalg::LanczosTopKOfGram(buffer.Gram(), k, &vals, &vecs,
-                                             opts);
+    // The solver picks rows, Gram or dense route from the shape, exactly
+    // as in a FrequentDirections shrink.
+    info = linalg::LanczosTopKOfRows(buffer, k, &vals, &vecs, opts);
     p.lanczos_seconds = std::min(p.lanczos_seconds, t.Seconds());
   }
   DMT_CHECK(info.converged);

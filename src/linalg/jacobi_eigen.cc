@@ -51,6 +51,7 @@ void SwapRows(double* DMT_NOALIAS x, double* DMT_NOALIAS y, size_t n) {
 // (Householder SYMV and rank-2 update, accumulation, QL rotations) walks
 // a contiguous row, and the eigenvectors come out as rows.
 DMT_NO_ALLOC
+DMT_HOT_KERNEL
 bool SymmetricEigenInPlace(double* a, size_t n, double* eigenvalues,
                            double* scratch) {
   if (n == 0) return true;

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "linalg/jacobi_eigen.h"
+#include "linalg/kernels.h"
 #include "linalg/vec_ops.h"
 #include "util/check.h"
 #include "util/contracts.h"
@@ -30,6 +31,12 @@ void DeterministicFill(double* x, size_t d) {
     z ^= z >> 31;
     x[i] = 2.0 * (static_cast<double>(z >> 11) * 0x1.0p-53) - 1.0;
   }
+}
+
+// Krylov basis rows per restart cycle of a top-k solve on R^d (k <= d).
+size_t BasisRows(size_t d, size_t k, const LanczosOptions& opts) {
+  const size_t m = opts.basis_size != 0 ? opts.basis_size : 2 * k + 8;
+  return std::min(std::max(m, k + 2), d);
 }
 
 // Two full modified-Gram-Schmidt passes of `x` against the first j rows
@@ -69,6 +76,11 @@ void LanczosSolver::EnsureRowScratch(size_t n) {
   if (rowmv_.size() < n) rowmv_.resize(n);
 }
 
+DMT_ALLOC_OK("one-time d x d Gram workspace for tall TopKOfRows solves; reallocates only on a change of d")
+void LanczosSolver::EnsureGramWorkspace(size_t d) {
+  if (gram_.rows() != d) gram_ = Matrix(d, d);
+}
+
 DMT_ALLOC_OK("caller-visible output sizing; no-op when outputs already have the solve's shape")
 void LanczosSolver::SizeOutputs(size_t need, size_t d,
                                 std::vector<double>* eigenvalues,
@@ -96,34 +108,29 @@ void LanczosSolver::RitzVector(size_t i, size_t j, size_t d) {
   }
 }
 
+bool LanczosSolver::UsesDenseRoute(size_t d, size_t k,
+                                   const LanczosOptions& opts) {
+  return d > 0 && k > 0 && BasisRows(d, std::min(k, d), opts) == d;
+}
+
 DMT_NO_ALLOC
 LanczosInfo LanczosSolver::DenseTopK(size_t d, size_t k,
-                                     const SymmetricMatvec& matvec,
                                      std::vector<double>* eigenvalues,
                                      Matrix* eigenvectors) {
   LanczosInfo info;
-  // Row i of sq_ is S e_i (= column i of S), so sq_ holds S^T and its
-  // upper triangle is the lower triangle of S — for a symmetric operator
-  // the same matrix.
-  std::fill(cand_.begin(), cand_.end(), 0.0);
-  for (size_t i = 0; i < d; ++i) {
-    cand_[i] = 1.0;
-    // dmt-lint: allow(noalloc-violation): indirect call, same operator
-    // contract as TopK's matvecs.
-    matvec(cand_.data(), sq_.Row(i));
-    cand_[i] = 0.0;
-  }
-  info.matvecs = d;
+  // sq_ holds S^T, so its upper triangle is the lower triangle of S — for
+  // a symmetric operator the same matrix.
   std::memcpy(u_.Row(0), sq_.Row(0), d * d * sizeof(double));
   info.converged = SymmetricEigenInPlace(u_.Row(0), d, theta_.data(),
                                          eig_scratch_.data());
 
-  // Residuals against the formed S itself: S u = sum_s u_s (S e_s), one
-  // axpy per stored column, so an asymmetric operator is not flattered.
-  // Each one is padded by (d + 2) eps (||S||_F + |theta|), the standard
-  // error bound of evaluating S u - theta u, so residual_bound stays
-  // above the exact residual even at roundoff level — MP2's trace
-  // certificate adds it.
+  // Residuals against the formed S itself: row i of U_k S^T is S u_i, one
+  // blocked GEMM over the stored columns, so an asymmetric operator is
+  // not flattered. Each one is padded by (d + 2) eps (||S||_F + |theta|),
+  // the standard error bound of evaluating S u - theta u, so
+  // residual_bound stays above the exact residual even at roundoff level
+  // — MP2's trace certificate adds it.
+  kernels::Gemm(u_.Row(0), sq_.Row(0), su_.Row(0), k, d, d);
   double frob_sq = 0.0;
   for (size_t i = 0; i < d; ++i) frob_sq += SquaredNorm(sq_.Row(i), d);
   const double rounding =
@@ -132,14 +139,13 @@ LanczosInfo LanczosSolver::DenseTopK(size_t d, size_t k,
   double resid_sq_sum = 0.0;
   for (size_t i = 0; i < k; ++i) {
     const double* u = u_.Row(i);
+    const double* su = su_.Row(i);
     const double th = theta_[i];
     (*eigenvalues)[i] = th;
     std::memcpy(eigenvectors->Row(i), u, d * sizeof(double));
-    std::fill(cand_.begin(), cand_.end(), 0.0);
-    for (size_t s = 0; s < d; ++s) Axpy(u[s], sq_.Row(s), cand_.data(), d);
     double rsq = 0.0;
     for (size_t t = 0; t < d; ++t) {
-      const double r = cand_[t] - th * u[t];
+      const double r = su[t] - th * u[t];
       rsq += r * r;
     }
     const double r = std::sqrt(rsq) +
@@ -156,6 +162,31 @@ LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
                                 std::vector<double>* eigenvalues,
                                 Matrix* eigenvectors,
                                 const LanczosOptions& opts) {
+  if (!UsesDenseRoute(d, k, opts)) {
+    return KrylovTopK(d, k, matvec, eigenvalues, eigenvectors, opts);
+  }
+  // A caller-supplied operator is only known through its matvecs: row i
+  // of sq_ is S e_i (= column i of S).
+  EnsureWorkspace(d, d);
+  std::fill(cand_.begin(), cand_.end(), 0.0);
+  for (size_t i = 0; i < d; ++i) {
+    cand_[i] = 1.0;
+    // dmt-lint: allow(noalloc-violation): indirect call, same operator
+    // contract as KrylovTopK's matvecs.
+    matvec(cand_.data(), sq_.Row(i));
+    cand_[i] = 0.0;
+  }
+  LanczosInfo info = DenseTopK(d, std::min(k, d), eigenvalues, eigenvectors);
+  info.matvecs = d;
+  return info;
+}
+
+DMT_NO_ALLOC
+LanczosInfo LanczosSolver::KrylovTopK(size_t d, size_t k,
+                                      const SymmetricMatvec& matvec,
+                                      std::vector<double>* eigenvalues,
+                                      Matrix* eigenvectors,
+                                      const LanczosOptions& opts) {
   LanczosInfo info;
   eigenvalues->clear();
   if (d == 0 || k == 0) {
@@ -164,10 +195,8 @@ LanczosInfo LanczosSolver::TopK(size_t d, size_t k,
     return info;
   }
   k = std::min(k, d);
-  size_t m = opts.basis_size != 0 ? opts.basis_size : 2 * k + 8;
-  m = std::min(std::max(m, k + 2), d);
+  const size_t m = BasisRows(d, k, opts);
   EnsureWorkspace(d, m);
-  if (m == d) return DenseTopK(d, k, matvec, eigenvalues, eigenvectors);
 
   // Seed the basis.
   double* q0 = q_.Row(0);
@@ -304,7 +333,13 @@ LanczosInfo LanczosSolver::TopKOfGram(const Matrix& gram, size_t k,
                                       const LanczosOptions& opts) {
   DMT_CHECK_EQ(gram.rows(), gram.cols());
   const size_t d = gram.rows();
-  return TopK(
+  if (UsesDenseRoute(d, k, opts)) {
+    // Row i of G^T is the column a matvec on e_i would read out of G.
+    EnsureWorkspace(d, d);
+    kernels::Transpose(gram.Row(0), d, d, sq_.Row(0));
+    return DenseTopK(d, std::min(k, d), eigenvalues, eigenvectors);
+  }
+  return KrylovTopK(
       d, k,
       [&gram, d](const double* x, double* y) {
         for (size_t i = 0; i < d; ++i) y[i] = Dot(gram.Row(i), x, d);
@@ -327,8 +362,20 @@ LanczosInfo LanczosSolver::TopKOfRows(const Matrix& rows, size_t k,
                                       const LanczosOptions& opts) {
   const size_t n = rows.rows();
   const size_t d = rows.cols();
+  if (UsesDenseRoute(d, k, opts)) {
+    EnsureWorkspace(d, d);
+    kernels::Gram(rows.Row(0), n, d, sq_.Row(0));
+    return DenseTopK(d, std::min(k, d), eigenvalues, eigenvectors);
+  }
+  if (n >= d) {
+    // Tall: one blocked Gram build, then d^2-flop matvecs on it instead
+    // of 2nd-flop passes over the rows.
+    EnsureGramWorkspace(d);
+    kernels::Gram(rows.Row(0), n, d, gram_.Row(0));
+    return TopKOfGram(gram_, k, eigenvalues, eigenvectors, opts);
+  }
   EnsureRowScratch(n);
-  return TopK(
+  return KrylovTopK(
       d, k,
       [this, &rows, n, d](const double* x, double* y) {
         for (size_t i = 0; i < n; ++i) rowmv_[i] = Dot(rows.Row(i), x, d);

@@ -25,11 +25,15 @@
 // Householder-QL kernel (SymmetricEigenInPlace, linalg/jacobi_eigen.h).
 //
 // Dense route: when the basis would span R^d anyway (m = min(2k + 8, d)
-// equals d — e.g. FD's k = ell + 1 = 21 or MP2's k = 32 at PAMAP's
-// d = 44) Krylov iteration only adds d^2 reorthogonalization work to a
-// full Rayleigh-Ritz. TopK then forms S from d matvecs on unit vectors
-// and factors it directly with the QL kernel; the choice depends on the
-// shape alone. `residual_bound` is still computed from the formed S.
+// equals d — e.g. FD's k = ell + 1 = 21 or MP2's full-spectrum step at
+// PAMAP's d = 44) Krylov iteration only adds d^2 reorthogonalization work
+// to a full Rayleigh-Ritz. The solver then forms S and factors it
+// directly with the QL kernel; the choice depends on the shape alone
+// (UsesDenseRoute). S comes from the explicit operator where there is
+// one — a transposed copy of TopKOfGram's matrix, one blocked Gram of
+// TopKOfRows' rows — and from d matvecs on unit vectors only for a
+// caller-supplied operator. `residual_bound` is still computed from the
+// formed S, in one blocked GEMM.
 //
 // Determinism: no RNG anywhere — the default seed vector is a fixed
 // quasi-random fill, restarts and breakdown replacements are
@@ -100,6 +104,9 @@ struct LanczosOptions {
 
 struct LanczosInfo {
   bool converged = false;
+  /// Operator applications. The dense route of TopKOfGram / TopKOfRows
+  /// forms S without any (0); TopK's dense route applies the caller's
+  /// operator to each of the d unit vectors (d).
   size_t matvecs = 0;
   size_t restarts = 0;
   /// sqrt(sum of squared residual norms) of the returned pairs — an upper
@@ -128,22 +135,35 @@ class LanczosSolver {
                    std::vector<double>* eigenvalues, Matrix* eigenvectors,
                    const LanczosOptions& opts = LanczosOptions());
 
-  /// TopK on an explicit symmetric matrix (the shared row-dot matvec
-  /// lives here so callers that reuse this solver's workspaces don't
-  /// each hand-roll it).
+  /// TopK on an explicit symmetric matrix. The Krylov route iterates on
+  /// row-dot matvecs; the dense route factors a transposed copy of
+  /// `gram` — value for value the S that d unit-vector matvecs would
+  /// form, so TopK with the same row-dot operator returns the same pairs.
   LanczosInfo TopKOfGram(const Matrix& gram, size_t k,
                          std::vector<double>* eigenvalues,
                          Matrix* eigenvectors,
                          const LanczosOptions& opts = LanczosOptions());
 
-  /// TopK of A^T A for a row matrix A (n x d) without materializing the
-  /// Gram: each matvec is two GEMV-shaped passes over the rows
-  /// (y = A^T (A x)), which wins whenever n < d. The n-length scratch is
-  /// solver-owned, so steady-state solves stay allocation-free.
+  /// TopK of A^T A for a row matrix A (n x d). The solver picks the
+  /// operator from the shape: the dense route factors one blocked Gram
+  /// of the rows; the Krylov route iterates on the rows themselves when
+  /// n < d — two GEMV-shaped passes per matvec, y = A^T (A x), the d x d
+  /// Gram never materialized — and otherwise builds the Gram once in a
+  /// solver-owned workspace and iterates on it exactly as TopKOfGram
+  /// would. All scratch is solver-owned, so steady-state solves stay
+  /// allocation-free.
   LanczosInfo TopKOfRows(const Matrix& rows, size_t k,
                          std::vector<double>* eigenvalues,
                          Matrix* eigenvectors,
                          const LanczosOptions& opts = LanczosOptions());
+
+  /// True when a top-k solve on R^d with these options takes the dense
+  /// route: its Krylov basis, m = min(max(basis_size or 2k + 8, k + 2), d)
+  /// rows with k clamped to d, would span R^d. Callers that would
+  /// otherwise ask for fewer pairs on this route can ask for all d at no
+  /// extra factorization cost.
+  static bool UsesDenseRoute(size_t d, size_t k,
+                             const LanczosOptions& opts = LanczosOptions());
 
  private:
   // Allocation is confined to these DMT_ALLOC_OK setup helpers (see the
@@ -151,15 +171,20 @@ class LanczosSolver {
   void EnsureWorkspace(size_t d, size_t m);
   void EnsureRitzWorkspace(size_t j);
   void EnsureRowScratch(size_t n);
+  void EnsureGramWorkspace(size_t d);
   static void SizeOutputs(size_t need, size_t d,
                           std::vector<double>* eigenvalues,
                           Matrix* eigenvectors);
 
-  /// The m == d route: forms S from d matvecs on unit vectors and factors
-  /// it with SymmetricEigenInPlace.
-  LanczosInfo DenseTopK(size_t d, size_t k, const SymmetricMatvec& matvec,
-                        std::vector<double>* eigenvalues,
+  /// The m == d route, once the caller has formed S^T in sq_ (d x d, row
+  /// i = S e_i): factors it with SymmetricEigenInPlace and measures the
+  /// top-k residuals against it. k <= d.
+  LanczosInfo DenseTopK(size_t d, size_t k, std::vector<double>* eigenvalues,
                         Matrix* eigenvectors);
+  /// The m < d route: thick-restart Lanczos on `matvec`.
+  LanczosInfo KrylovTopK(size_t d, size_t k, const SymmetricMatvec& matvec,
+                         std::vector<double>* eigenvalues,
+                         Matrix* eigenvectors, const LanczosOptions& opts);
   /// u_ row i and su_ row i <- Ritz vector i (coefficients: row i of t_
   /// over the j basis rows) and its operator image.
   void RitzVector(size_t i, size_t j, size_t d);
@@ -167,8 +192,9 @@ class LanczosSolver {
   Matrix q_;    // basis rows (m x d), orthonormal
   Matrix sq_;   // S * basis rows (m x d); dense route: row i = S e_i
   Matrix u_;    // Ritz-vector scratch (m x d); dense route: factored S
-  Matrix su_;   // S * Ritz-vector scratch (m x d)
+  Matrix su_;   // S * Ritz-vector scratch (m x d); dense route: row i = S u_i
   Matrix t_;    // projected operator (j x j); rows become its eigenvectors
+  Matrix gram_; // d x d Gram of TopKOfRows' rows on the tall Krylov route
   std::vector<double> cand_;         // expansion candidate (d)
   std::vector<double> theta_;        // Ritz values, descending
   std::vector<double> eig_scratch_;  // SymmetricEigenInPlace scratch (m)

@@ -3,10 +3,12 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/contracts.h"
 
 namespace dmt {
 namespace linalg {
 
+DMT_HOT_KERNEL
 double Dot(const double* a, const double* b, size_t n) {
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
@@ -30,6 +32,7 @@ double Norm(const std::vector<double>& a) {
   return Norm(a.data(), a.size());
 }
 
+DMT_HOT_KERNEL
 void Axpy(double alpha, const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }

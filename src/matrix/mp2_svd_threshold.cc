@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/kernels.h"
 #include "linalg/svd.h"
 #include "linalg/vec_ops.h"
@@ -198,12 +197,14 @@ void MP2SvdThreshold::MaybeSendDirections(size_t site,
   // computed pairs once (a) the smallest computed Ritz value is below the
   // threshold and (b) the spectrum mass not captured by the computed
   // pairs — at most trace minus the captured Ritz sum, plus the solver's
-  // residual coupling — is below it too.
-  bool solved = false;
-  size_t count = 0;       // computed pairs in st.vals / st.vecs rows
+  // residual coupling — is below it too. A step whose Krylov basis would
+  // span R^d takes the solver's dense route and factors the whole
+  // spectrum anyway, so it asks for all d pairs, which need no
+  // certificate; an unconverged Krylov step goes there as well. That
+  // full step is final, as an exact decomposition would be.
+  size_t k = std::min(d, size_t{4});
   double leftover = 0.0;  // bound on the un-computed spectrum mass
   double slack = 0.0;     // Ritz-value accuracy + trace roundoff
-  size_t k = std::min(d, size_t{4});
   while (true) {
     linalg::LanczosOptions opts;
     // Tight: the shipped pairs are also the deflation directions, and
@@ -211,39 +212,25 @@ void MP2SvdThreshold::MaybeSendDirections(size_t site,
     // that drift far below any plausible threshold margin.
     opts.tol = 1e-13;
     if (st.seed.size() == d) opts.seed = st.seed.data();
-    linalg::LanczosInfo info =
+    if (linalg::LanczosSolver::UsesDenseRoute(d, k, opts)) k = d;
+    const linalg::LanczosInfo info =
         st.solver.TopKOfGram(st.gram, k, &st.vals, &st.vecs, opts);
-    if (!info.converged) break;  // exact fallback below
+    slack = info.residual_bound + 1e-9 * std::fabs(trace);
+    if (k == d) {
+      leftover = 0.0;  // full space computed
+      break;
+    }
+    if (!info.converged) {
+      k = d;
+      continue;
+    }
     double captured = 0.0;
     for (size_t i = 0; i < k; ++i) captured += st.vals[i];
     leftover = std::max(0.0, trace - captured);
-    slack = info.residual_bound + 1e-9 * std::fabs(trace);
-    if ((st.vals[k - 1] < threshold && leftover + slack < threshold) ||
-        k == d) {
-      if (k == d) leftover = 0.0;  // full space computed
-      count = k;
-      solved = true;
-      break;
-    }
-    // Flat spectra would need k ~ d for the certificate; one exact
-    // decomposition is cheaper than Rayleigh-Ritz on most of R^d.
-    if (k >= (d + 1) / 2) break;
+    if (st.vals[k - 1] < threshold && leftover + slack < threshold) break;
     k = std::min(d, 2 * k);
   }
-
-  if (!solved) {
-    linalg::EigenDecomposition e = linalg::SymmetricEigen(st.gram);
-    count = d;
-    leftover = 0.0;
-    slack = 1e-9 * std::fabs(trace);
-    st.vals.assign(e.eigenvalues.begin(), e.eigenvalues.end());
-    if (st.vecs.rows() != d || st.vecs.cols() != d) {
-      st.vecs = linalg::Matrix(d, d);
-    }
-    for (size_t i = 0; i < d; ++i) {
-      for (size_t j = 0; j < d; ++j) st.vecs(i, j) = e.eigenvectors(j, i);
-    }
-  }
+  const size_t count = k;  // computed pairs in st.vals / st.vecs rows
 
   // Ship every direction at or above the threshold, then remove them from
   // the Gram in one batched rank-1 pass — exactly the paper's

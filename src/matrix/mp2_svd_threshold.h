@@ -30,10 +30,12 @@
 // exactly-known trace: the spectrum not captured by the returned Ritz
 // pairs sums to at most trace(G_j) − Σθᵢ, so once that remainder (plus
 // the solver's residual coupling bound) is below the threshold, every
-// eigenvalue ≥ threshold is provably among the computed pairs. Streams
-// with flat spectra, where k would have to approach d for that
-// certificate, fall back to one exact Jacobi decomposition instead — the
-// messages are identical either way.
+// eigenvalue ≥ threshold is provably among the computed pairs. The exact
+// step is the same solver at k = d: once k would put the solver on its
+// dense route (the Krylov basis would span R^d), or a Krylov step misses
+// its tolerance, the check asks for all d pairs, which the dense route
+// factors in one QL solve and which need no certificate. Flat spectra
+// end there; the messages are identical either way.
 #ifndef DMT_MATRIX_MP2_SVD_THRESHOLD_H_
 #define DMT_MATRIX_MP2_SVD_THRESHOLD_H_
 
@@ -76,7 +78,7 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
   std::string name() const override { return "P2"; }
 
   double coordinator_frobenius() const { return coord_fest_; }
-  /// Threshold checks (partial or fallback eigensolves) across all sites
+  /// Threshold checks (each one or more eigensolves) across all sites
   /// (cost diagnostic).
   size_t decomposition_count() const {
     return decompositions_.load(std::memory_order_relaxed);

@@ -126,13 +126,6 @@ void FrequentDirections::EnsureShrinkWorkspace() {
   }
 }
 
-DMT_ALLOC_OK("lazy d x d Gram workspace; only tall (n >= d) Lanczos shrinks pay for it, once")
-void FrequentDirections::EnsureLanczosGram() {
-  if (lanczos_gram_.rows() != dim_) {
-    lanczos_gram_ = linalg::Matrix(dim_, dim_);
-  }
-}
-
 DMT_NO_ALLOC
 void FrequentDirections::Shrink() {
   ++shrink_count_;
@@ -154,28 +147,16 @@ void FrequentDirections::Shrink() {
 DMT_NO_ALLOC
 bool FrequentDirections::ShrinkLanczos() {
   const size_t d = dim_;
-  const size_t n = buffer_.rows();
   const size_t k = std::min(ell_ + 1, d);
 
   linalg::LanczosOptions opts;
   opts.tol = 1e-11;
   if (warm_seed_valid_) opts.seed = warm_seed_.data();
 
-  linalg::LanczosInfo info;
-  if (n < d) {
-    // Buffer currently wider than tall: iterate on the rows directly —
-    // each matvec is two GEMV-shaped passes, y = B^T (B x) — so the
-    // d x d Gram is never materialized. This covers every shrink when
-    // 4*ell < d, and streaming (2*ell-row) shrinks up to d > 2*ell.
-    info = eigensolver_.TopKOfRows(buffer_, k, &eigenvalues_,
-                                   &eigenvectors_, opts);
-  } else {
-    // Tall buffer: one blocked Gram build, then d^2 matvecs on it.
-    EnsureLanczosGram();
-    linalg::kernels::Gram(buffer_.Row(0), n, d, lanczos_gram_.Row(0));
-    info = eigensolver_.TopKOfGram(lanczos_gram_, k, &eigenvalues_,
-                                   &eigenvectors_, opts);
-  }
+  // The solver picks the operator (rows, Gram or the dense route) from
+  // the buffer's shape.
+  const linalg::LanczosInfo info =
+      eigensolver_.TopKOfRows(buffer_, k, &eigenvalues_, &eigenvectors_, opts);
   if (!info.converged) return false;
 
   const double delta =

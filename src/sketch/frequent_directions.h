@@ -13,17 +13,18 @@
 //    Gram (the FD analysis [Liberty KDD'13; Ghashami & Phillips SODA'14]
 //    depends only on delta = lambda_{ell+1} and the leading subspace).
 //    The default shrink backend is therefore a thick-restart Lanczos
-//    partial eigensolver (linalg/lanczos.h): whenever the buffer is
-//    currently wider than tall (fewer rows than columns — always the
-//    case when 4*ell < d, and for streaming 2*ell-row shrinks whenever
-//    2*ell < d) it iterates directly on the rows — two GEMV-shaped
-//    passes per matvec, never materializing the d x d Gram — and
-//    otherwise on a persistent Gram workspace. The Krylov seed is
-//    warm-started from the previous shrink's leading eigenvector. When
+//    partial eigensolver (linalg/lanczos.h), and a shrink is one
+//    LanczosSolver::TopKOfRows call on the buffer: the solver picks the
+//    operator from the shape. When the buffer is wider than tall (fewer
+//    rows than columns — always the case when 4*ell < d, and for
+//    streaming 2*ell-row shrinks whenever 2*ell < d) it iterates on the
+//    rows — two GEMV-shaped passes per matvec, never materializing the
+//    d x d Gram — and otherwise on one blocked Gram of the buffer. When
 //    the Krylov basis would span R^d (2 ell + 10 >= d, e.g. MP1 at
-//    eps = 0.1 on PAMAP's d = 44) the solver takes its dense route
-//    instead: d matvecs form the Gram, which the Householder-QL kernel
-//    factors directly. If a solve fails its residual test (rare: one
+//    eps = 0.1 on PAMAP's d = 44) it takes its dense route instead: one
+//    blocked Gram, factored directly by the Householder-QL kernel. The
+//    Krylov seed is warm-started from the previous shrink's leading
+//    eigenvector. If a solve fails its residual test (rare: one
 //    warm-seeded shrink in BENCH_partial_eigen.json's (64, 1024) stream;
 //    see lanczos_fallback_count) the shrink transparently reruns on the
 //    Jacobi reference path.
@@ -143,11 +144,6 @@ class FrequentDirections {
   /// it first, so the shrink paths themselves are DMT_NO_ALLOC.
   void EnsureShrinkWorkspace();
 
-  /// Lazily sizes the persistent d x d Gram workspace; only tall (n >= d)
-  /// Lanczos shrinks ever need it, so it is not part of
-  /// EnsureShrinkWorkspace.
-  void EnsureLanczosGram();
-
   /// One-time (per sketch) allocation of the Jacobi-path workspaces,
   /// deferred until the first Jacobi shrink so Lanczos-backed sketches
   /// never pay for the three d x d matrices.
@@ -177,7 +173,6 @@ class FrequentDirections {
   linalg::Matrix eigenvectors_;       // (ell+1) x d eigenvector rows
   std::vector<double> warm_seed_;     // previous shrink's leading vector
   bool warm_seed_valid_ = false;      // warm_seed_ holds a real eigenvector
-  linalg::Matrix lanczos_gram_;       // d x d, only for tall (n >= d) shrinks
 
   // --- Jacobi backend state (see EnsureJacobiWorkspace) ---
   bool jacobi_ready_ = false;

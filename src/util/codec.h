@@ -83,13 +83,15 @@ class ByteReader {
   bool exhausted() const { return ok_ && pos_ == size_; }
 
  private:
+  // A zero-length read may pass a null `out` (an empty vector's data()),
+  // which memset/memcpy must not receive even for n == 0.
   bool TakeInto(void* out, size_t n) {
     if (!ok_ || size_ - pos_ < n) {
       ok_ = false;
-      std::memset(out, 0, n);
+      if (n != 0) std::memset(out, 0, n);
       return false;
     }
-    std::memcpy(out, data_ + pos_, n);
+    if (n != 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;
   }

@@ -6,7 +6,8 @@
 // GCC they expand to nothing (dmt_lint discovers them lexically and maps
 // them onto the GENERIC AST), under Clang they additionally emit
 // [[clang::annotate]] attributes so future Clang-based tooling can see
-// them too.
+// them too. DMT_HOT_KERNEL, at the end, is the exception: a code-placement
+// attribute the compiler acts on and dmt_lint ignores.
 //
 // Placement rules (the lint tool relies on these):
 //  * DMT_NO_ALLOC / DMT_ALLOC_OK go on the function *definition*, on the
@@ -107,6 +108,23 @@
 #define DMT_UNTRUSTED_INPUT [[clang::annotate("dmt::untrusted_input")]]
 #else
 #define DMT_UNTRUSTED_INPUT
+#endif
+
+// DMT_HOT_KERNEL: starts this function on a 64-byte boundary. Not a lint
+// contract but a code-placement one: a hot kernel's alignment otherwise
+// depends on how much code the linker happens to place ahead of it, so
+// deleting unrelated code elsewhere can move a kernel from 0 to 32 mod 64
+// and shift a benchmark rate by several percent with no instruction on
+// its path changed. The attribute sits in the source, so every build of
+// src/ carries it, including ones with their own build files. It pins the
+// entry, not the loops inside: a kernel whose hot loop then lands across
+// a 64-byte line also has to place that loop (see kernels::Rank1Update).
+// Put it on the definition, like DMT_NO_ALLOC. GCC and Clang honour it;
+// other compilers get nothing.
+#if defined(__GNUC__) || defined(__clang__)
+#define DMT_HOT_KERNEL __attribute__((aligned(64)))
+#else
+#define DMT_HOT_KERNEL
 #endif
 
 #endif  // DMT_UTIL_CONTRACTS_H_

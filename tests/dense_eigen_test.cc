@@ -3,7 +3,9 @@
 // cyclic-Jacobi reference (JacobiDiagonalizeInPlace): PAMAP- and MSD-like
 // Grams, an indefinite 256 x 256 matrix, and the degenerate shapes —
 // zero, 1 x 1, all-tied, rank-1, graded and already-tridiagonal — plus
-// determinism and non-finite input.
+// determinism and non-finite input. The dense-route cases also pin how
+// each entry point forms S: from d matvecs for a caller's operator, and
+// from the explicit matrix or rows, bit-identically, otherwise.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -361,7 +363,7 @@ TEST(DenseEigenTest, LanczosDenseRouteAtBasisEqualsDimension) {
   // k = 18 at d = 44: m = 2k + 8 = d.
   const Matrix s = PamapGram();
   const LanczosRun r = RunLanczos(s, 18);
-  EXPECT_EQ(r.info.matvecs, 44u);  // one per unit vector, nothing else
+  EXPECT_EQ(r.info.matvecs, 0u);  // S is the matrix itself, no operator
   EXPECT_EQ(r.info.restarts, 0u);
   ExpectTopKAgrees(s, r, 18);
 
@@ -393,7 +395,7 @@ TEST(DenseEigenTest, LanczosDenseRouteOnRowsAtFdShape) {
   LanczosSolver solver;
   LanczosRun r;
   r.info = solver.TopKOfRows(rows, 21, &r.values, &r.vectors);
-  EXPECT_EQ(r.info.matvecs, 44u);
+  EXPECT_EQ(r.info.matvecs, 0u);  // S is one blocked Gram of the rows
   ExpectTopKAgrees(s, r, 21);
   double actual_sq = 0.0;
   for (size_t i = 0; i < 21; ++i) {
@@ -408,6 +410,95 @@ TEST(DenseEigenTest, LanczosDenseRouteOnRowsAtFdShape) {
   EXPECT_TRUE(BitIdentical(r.values, again.values));
   EXPECT_TRUE(BitIdentical(r.vectors, again.vectors));
   EXPECT_EQ(r.info.residual_bound, again.info.residual_bound);
+}
+
+TEST(DenseEigenTest, LanczosDenseRouteOfGramMatchesCallerOperator) {
+  // k = 18 at d = 44 again. The Gram is built entry by entry, so its
+  // lower triangle carries its own roundoff: only a transposed copy
+  // reproduces the column reads d unit-vector matvecs make.
+  const size_t d = 44;
+  Rng rng(23);
+  const Matrix q = RandomOrthogonalMatrix(d, &rng);
+  Matrix s(d, d);
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      double v = 0.0;
+      for (size_t t = 0; t < d; ++t) {
+        v += q(i, t) * (1.0 + static_cast<double>(t)) * q(j, t);
+      }
+      s(i, j) = v;
+    }
+  }
+  bool asymmetric = false;
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = i + 1; j < d; ++j) asymmetric |= s(i, j) != s(j, i);
+  }
+  ASSERT_TRUE(asymmetric);
+
+  LanczosSolver solver;
+  LanczosRun op;
+  op.info = solver.TopK(
+      d, 18,
+      [&s, d](const double* x, double* y) {
+        for (size_t i = 0; i < d; ++i) y[i] = Dot(s.Row(i), x, d);
+      },
+      &op.values, &op.vectors);
+  EXPECT_EQ(op.info.matvecs, d);  // one per unit vector, nothing else
+  EXPECT_EQ(op.info.restarts, 0u);
+  EXPECT_TRUE(op.info.converged);
+
+  const LanczosRun gram = RunLanczos(s, 18);
+  EXPECT_EQ(gram.info.matvecs, 0u);
+  EXPECT_TRUE(gram.info.converged);
+  EXPECT_TRUE(BitIdentical(op.values, gram.values));
+  EXPECT_TRUE(BitIdentical(op.vectors, gram.vectors));
+  EXPECT_EQ(op.info.residual_bound, gram.info.residual_bound);
+}
+
+TEST(DenseEigenTest, LanczosDenseRouteOnTallRowsAtFdShape) {
+  // A merged MP1 coordinator buffer: n = 58 rows at d = 44, still on the
+  // dense route (k = 21). For n >= d the formed S is the blocked Gram an
+  // explicit caller would pass to TopKOfGram, so the two agree bit for
+  // bit.
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(14));
+  const Matrix rows = gen.Take(58);
+  const Matrix s = rows.Gram();
+  LanczosSolver solver;
+  LanczosRun r;
+  r.info = solver.TopKOfRows(rows, 21, &r.values, &r.vectors);
+  EXPECT_EQ(r.info.matvecs, 0u);
+  ExpectTopKAgrees(s, r, 21);
+  double actual_sq = 0.0;
+  for (size_t i = 0; i < 21; ++i) {
+    const double res = ExactResidual(s, r.vectors.Row(i), r.values[i]);
+    actual_sq += res * res;
+  }
+  EXPECT_GE(r.info.residual_bound, std::sqrt(actual_sq));
+
+  const LanczosRun gram = RunLanczos(s, 21);
+  EXPECT_TRUE(BitIdentical(r.values, gram.values));
+  EXPECT_TRUE(BitIdentical(r.vectors, gram.vectors));
+
+  LanczosRun again;
+  again.info = solver.TopKOfRows(rows, 21, &again.values, &again.vectors);
+  EXPECT_TRUE(BitIdentical(r.values, again.values));
+  EXPECT_TRUE(BitIdentical(r.vectors, again.vectors));
+  EXPECT_EQ(r.info.residual_bound, again.info.residual_bound);
+}
+
+TEST(DenseEigenTest, LanczosDenseRouteOnNaNRowsReturnsUnconverged) {
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(15));
+  for (size_t n : {size_t{40}, size_t{58}}) {
+    Matrix rows = gen.Take(n);
+    rows(n / 2, 7) = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> vals;
+    Matrix vecs;
+    const LanczosInfo info = LanczosTopKOfRows(rows, 21, &vals, &vecs);
+    EXPECT_FALSE(info.converged) << "n=" << n;
+    EXPECT_EQ(vals.size(), 21u);
+  }
 }
 
 }  // namespace

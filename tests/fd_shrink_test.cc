@@ -4,10 +4,12 @@
 // rows).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic_matrix.h"
 #include "linalg/jacobi_eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/spectral.h"
@@ -287,6 +289,44 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
   for (size_t i = 0; i < d; ++i) {
     EXPECT_NEAR(sl[i] * sl[i], sj[i] * sj[i], 1e-8 * scale) << "i=" << i;
   }
+}
+
+// MP1's coordinator shape: (ell, d) = (20, 44) fed by merged site
+// sketches, so shrinks see buffers of n = 40..63 rows on both sides of
+// n = d — all on the solver's dense route (2 ell + 10 >= d). The Lanczos
+// backend must still match the Jacobi reference shrink for shrink.
+TEST(FdShrinkTest, LanczosBackendMatchesJacobiAtMp1CoordinatorShape) {
+  const size_t ell = 20, d = 44;
+  FrequentDirections lanczos(ell, d);
+  lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
+  FrequentDirections jacobi(ell, d);
+  jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
+
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(17));
+  Rng sizes(18);
+  size_t min_n = SIZE_MAX, max_n = 0;
+  for (int merge = 0; merge < 300; ++merge) {
+    const size_t r = 1 + sizes.NextBelow(24);  // a 1..24-row site sketch
+    FrequentDirections site(ell, d);
+    site.AppendRows(gen.Take(r));
+    ASSERT_EQ(site.shrink_count(), 0u);
+    const size_t n = lanczos.rows() + r;
+    if (n >= 2 * ell) {
+      min_n = std::min(min_n, n);
+      max_n = std::max(max_n, n);
+    }
+    lanczos.Merge(site);
+    jacobi.Merge(site);
+  }
+  EXPECT_LT(min_n, d);
+  EXPECT_GE(max_n, d);
+  ASSERT_GE(lanczos.shrink_count(), 100u);
+  EXPECT_EQ(lanczos.shrink_count(), jacobi.shrink_count());
+  EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
+  EXPECT_EQ(lanczos.rows(), jacobi.rows());
+  EXPECT_NEAR(lanczos.total_shrinkage(), jacobi.total_shrinkage(),
+              1e-8 * jacobi.total_shrinkage());
 }
 
 // Satellite regression: a degenerate spectrum with lambda_ell ==

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/jacobi_eigen.h"
+#include "linalg/kernels.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/spectral.h"
@@ -223,6 +224,23 @@ TEST(LanczosTest, RowsAndGramRoutesAgree) {
   ASSERT_TRUE(LanczosTopKOfGram(a.Gram(), 5, &vg, &wg).converged);
   const double scale = vr[0];
   for (size_t i = 0; i < 5; ++i) EXPECT_NEAR(vr[i], vg[i], 1e-9 * scale);
+
+  // Tall (n > d) on the Krylov route (k = 5: m = 18 < d): TopKOfRows
+  // iterates on one blocked Gram of the rows, exactly as TopKOfGram does.
+  Matrix tall = RandomGaussianMatrix(60, 40, &rng);
+  Matrix g(40, 40);
+  kernels::Gram(tall.Row(0), tall.rows(), tall.cols(), g.Row(0));
+  LanczosInfo rows_info = LanczosTopKOfRows(tall, 5, &vr, &wr);
+  LanczosInfo gram_info = LanczosTopKOfGram(g, 5, &vg, &wg);
+  ASSERT_TRUE(rows_info.converged);
+  EXPECT_GT(rows_info.matvecs, 0u);
+  EXPECT_EQ(rows_info.matvecs, gram_info.matvecs);
+  EXPECT_EQ(rows_info.residual_bound, gram_info.residual_bound);
+  ASSERT_EQ(vr.size(), vg.size());
+  for (size_t i = 0; i < vr.size(); ++i) {
+    EXPECT_EQ(vr[i], vg[i]) << "i=" << i;
+    for (size_t j = 0; j < 40; ++j) EXPECT_EQ(wr(i, j), wg(i, j));
+  }
 }
 
 TEST(LanczosTest, DeterministicAcrossCalls) {

@@ -1,8 +1,8 @@
 // Equivalence test for MP2's engineering shortcuts.
 //
 // The implementation guards threshold checks behind a trace bound and
-// runs each check as a trace-certified partial Lanczos solve (with an
-// exact-decomposition fallback for flat spectra). This test pits it
+// runs each check as a trace-certified partial Lanczos solve (ending in
+// the solver's full-spectrum step for flat spectra). This test pits it
 // against a literal transcription of the paper's Algorithm 5.3/5.4 —
 // full decomposition of the raw Gram after every row — and requires
 // identical messages and an identical coordinator state.
@@ -110,20 +110,18 @@ class ReferenceMP2 {
 
 class Mp2EquivalenceTest : public ::testing::TestWithParam<double> {};
 
-TEST_P(Mp2EquivalenceTest, MatchesPaperLiteralImplementation) {
-  const double eps = GetParam();
+// Feeds `rows` rows of `cfg` through both implementations at 5 sites and
+// requires identical messages and an identical coordinator state.
+void ExpectMatchesReference(double eps,
+                            const data::SyntheticMatrixConfig& cfg,
+                            int rows) {
   const size_t m = 5;
   MP2SvdThreshold fast(m, eps);
   ReferenceMP2 reference(m, eps);
-
-  data::SyntheticMatrixConfig cfg;
-  cfg.dim = 10;
-  cfg.latent_rank = 3;
-  cfg.seed = 11;
   data::SyntheticMatrixGenerator gen(cfg);
   stream::Router router(m, stream::RoutingPolicy::kUniform, 12);
 
-  for (int i = 0; i < 4000; ++i) {
+  for (int i = 0; i < rows; ++i) {
     std::vector<double> row = gen.Next();
     const size_t site = router.NextSite();
     fast.ProcessRow(site, row);
@@ -137,6 +135,26 @@ TEST_P(Mp2EquivalenceTest, MatchesPaperLiteralImplementation) {
   // ...and an identical coordinator state (up to roundoff).
   EXPECT_LT(fast.CoordinatorGram().MaxAbsDiff(reference.coord_gram()),
             1e-6 * (1.0 + reference.coord_gram().SquaredFrobeniusNorm()));
+}
+
+TEST_P(Mp2EquivalenceTest, MatchesPaperLiteralImplementation) {
+  data::SyntheticMatrixConfig cfg;
+  cfg.dim = 10;
+  cfg.latent_rank = 3;
+  cfg.seed = 11;
+  ExpectMatchesReference(GetParam(), cfg, 4000);
+}
+
+// A flat spectrum at PAMAP's d = 44: the trace certificate fails at
+// k = 4, 8 and 16, so checks escalate to the solver's full-spectrum step
+// (k = d on the dense route).
+TEST_P(Mp2EquivalenceTest, MatchesPaperLiteralOnHighRankStream) {
+  data::SyntheticMatrixConfig cfg;
+  cfg.dim = 44;
+  cfg.latent_rank = 44;
+  cfg.decay_power = 0.1;
+  cfg.seed = 13;
+  ExpectMatchesReference(GetParam(), cfg, 600);
 }
 
 INSTANTIATE_TEST_SUITE_P(EpsSweep, Mp2EquivalenceTest,
