@@ -16,9 +16,11 @@
 //    SymmetricEigen, `dense_seconds`), each the fastest of three calls,
 //    with the eigenvalue agreement reported and gated.
 //  * fd_stream: FrequentDirections streaming throughput with the Lanczos
-//    shrink backend vs the Jacobi reference backend, with the final
-//    covariance error of both sketches against the exact Gram — the two
-//    must agree within 1e-8 (hard DMT_CHECK, every scale).
+//    shrink backend vs the dense reference backend (one blocked Gram plus
+//    one QL solve per shrink), with the final covariance error of both
+//    sketches against the exact Gram — the two must agree within 1e-8
+//    (hard DMT_CHECK, every scale) — and the Lanczos backend's count of
+//    shrinks that fell back to the dense route.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -26,10 +28,10 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "linalg/jacobi_eigen.h"
 #include "linalg/kernels.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
+#include "linalg/symmetric_eigen.h"
 #include "matrix/error.h"
 #include "sketch/frequent_directions.h"
 #include "util/check.h"
@@ -107,11 +109,12 @@ SolverPoint MeasureSolver(size_t ell, size_t d, Rng* rng) {
 
 struct StreamPoint {
   size_t ell, d, rows;
-  double jacobi_rows_per_sec;
+  double dense_rows_per_sec;
   double lanczos_rows_per_sec;
   double speedup;
-  size_t jacobi_shrinks, lanczos_shrinks;
-  double cov_err_jacobi;
+  size_t dense_shrinks, lanczos_shrinks;
+  size_t lanczos_fallbacks;
+  double cov_err_dense;
   double cov_err_lanczos;
   double abs_err_diff;
 };
@@ -123,26 +126,27 @@ StreamPoint MeasureStream(size_t ell, size_t d, Rng* rng) {
   truth.AddRows(a);
 
   const auto run = [&](sketch::FdShrinkBackend backend, double* seconds,
-                       size_t* shrinks) {
+                       size_t* shrinks, size_t* fallbacks) {
     sketch::FrequentDirections fd(ell, d);
     fd.set_shrink_backend(backend);
     Timer t;
     for (size_t i = 0; i < n; ++i) fd.Append(a.Row(i), d);
     *seconds = t.Seconds();
     *shrinks = fd.shrink_count();
+    if (fallbacks != nullptr) *fallbacks = fd.lanczos_fallback_count();
     return matrix::CovarianceError(truth, fd.Gram());
   };
 
-  StreamPoint p{ell, d, n, 0, 0, 0, 0, 0, 0, 0, 0};
-  double sj = 0.0, sl = 0.0;
-  p.cov_err_jacobi = run(sketch::FdShrinkBackend::kJacobi, &sj,
-                         &p.jacobi_shrinks);
+  StreamPoint p{ell, d, n, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  double sd = 0.0, sl = 0.0;
+  p.cov_err_dense =
+      run(sketch::FdShrinkBackend::kDense, &sd, &p.dense_shrinks, nullptr);
   p.cov_err_lanczos = run(sketch::FdShrinkBackend::kLanczos, &sl,
-                          &p.lanczos_shrinks);
-  p.jacobi_rows_per_sec = n / sj;
+                          &p.lanczos_shrinks, &p.lanczos_fallbacks);
+  p.dense_rows_per_sec = n / sd;
   p.lanczos_rows_per_sec = n / sl;
-  p.speedup = sj / sl;
-  p.abs_err_diff = std::fabs(p.cov_err_jacobi - p.cov_err_lanczos);
+  p.speedup = sd / sl;
+  p.abs_err_diff = std::fabs(p.cov_err_dense - p.cov_err_lanczos);
   return p;
 }
 
@@ -200,13 +204,14 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "    {\"ell\": %zu, \"d\": %zu, \"rows\": %zu, "
-          "\"jacobi_rows_per_sec\": %.0f, \"lanczos_rows_per_sec\": %.0f, "
-          "\"speedup\": %.3f, \"jacobi_shrinks\": %zu, "
-          "\"lanczos_shrinks\": %zu, \"cov_err_jacobi\": %.10f, "
-          "\"cov_err_lanczos\": %.10f, \"abs_err_diff\": %.3e}%s\n",
-          p.ell, p.d, p.rows, p.jacobi_rows_per_sec, p.lanczos_rows_per_sec,
-          p.speedup, p.jacobi_shrinks, p.lanczos_shrinks, p.cov_err_jacobi,
-          p.cov_err_lanczos, p.abs_err_diff,
+          "\"dense_rows_per_sec\": %.0f, \"lanczos_rows_per_sec\": %.0f, "
+          "\"speedup\": %.3f, \"dense_shrinks\": %zu, "
+          "\"lanczos_shrinks\": %zu, \"lanczos_fallbacks\": %zu, "
+          "\"cov_err_dense\": %.10f, \"cov_err_lanczos\": %.10f, "
+          "\"abs_err_diff\": %.3e}%s\n",
+          p.ell, p.d, p.rows, p.dense_rows_per_sec, p.lanczos_rows_per_sec,
+          p.speedup, p.dense_shrinks, p.lanczos_shrinks, p.lanczos_fallbacks,
+          p.cov_err_dense, p.cov_err_lanczos, p.abs_err_diff,
           i + 1 < streams.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n");
@@ -217,7 +222,7 @@ int main(int argc, char** argv) {
   // error unchanged within 1e-8.
   for (const auto& p : solver) DMT_CHECK_LT(p.rel_eig_diff, 1e-9);
   for (const auto& p : streams) {
-    DMT_CHECK_EQ(p.jacobi_shrinks, p.lanczos_shrinks);
+    DMT_CHECK_EQ(p.dense_shrinks, p.lanczos_shrinks);
     DMT_CHECK_LT(p.abs_err_diff, 1e-8);
   }
   return 0;

@@ -1,6 +1,5 @@
 #include "core/continuous_matrix_tracker.h"
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/vec_ops.h"
 #include "matrix/baselines.h"
 #include "matrix/mp1_batched_fd.h"

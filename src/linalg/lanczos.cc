@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <cstring>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/kernels.h"
+#include "linalg/symmetric_eigen.h"
 #include "linalg/vec_ops.h"
 #include "util/check.h"
 #include "util/contracts.h"
@@ -17,6 +17,12 @@ namespace linalg {
 namespace {
 
 constexpr double kTiny = 1e-300;
+
+// Happy-breakdown floor, relative to ||S q||. It must sit below every
+// residual tolerance in use (FD's 1e-11, the extremes' 1e-12): a residual
+// discarded between floor and tolerance stalls the solve for all of its
+// restarts. 1e-13 is ~100x above two reorthogonalization passes' rounding.
+constexpr double kBreakdownFloor = 1e-13;
 
 // Deterministic quasi-random seed fill (splitmix64 mapped to [-1, 1]).
 // Fixed so solves are a pure function of the operator — no RNG
@@ -232,7 +238,7 @@ LanczosInfo LanczosSolver::KrylovTopK(size_t d, size_t k,
       std::memcpy(cand_.data(), src, d * sizeof(double));
       const double src_norm = Norm(src, d);
       nrm = Reorthogonalize(cand_.data(), q_, j, d);
-      if (nrm <= 1e-10 * src_norm + kTiny) {
+      if (nrm <= kBreakdownFloor * src_norm + kTiny) {
         bool replaced = false;
         while (fresh < d) {
           const size_t t = fresh++;

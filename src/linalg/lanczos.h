@@ -19,10 +19,12 @@
 // Thick restart is the symmetric form of implicit restarting [Wu &
 // Simon, SIAM J. Matrix Anal. 2000]. A Ritz pair (theta, u) counts as
 // converged when ||S u - theta u|| <= tol * spectral-scale; on an exact
-// invariant subspace (happy breakdown) the expansion inserts
-// deterministic canonical directions so repeated and zero eigenvalues
-// are still found. The projected matrix is factored by the dense
-// Householder-QL kernel (SymmetricEigenInPlace, linalg/jacobi_eigen.h).
+// invariant subspace (happy breakdown: a reorthogonalized candidate
+// shorter than 1e-13 ||S q||, below every tolerance in use) the expansion
+// inserts deterministic canonical directions so repeated and zero
+// eigenvalues are still found. The projected matrix is factored by the
+// dense Householder-QL kernel (SymmetricEigenInPlace,
+// linalg/symmetric_eigen.h), the library's only dense eigensolver.
 //
 // Dense route: when the basis would span R^d anyway (m = min(2k + 8, d)
 // equals d — e.g. FD's k = ell + 1 = 21 or MP2's full-spectrum step at

@@ -1,70 +1,10 @@
 #include "linalg/spectral.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "linalg/vec_ops.h"
 #include "util/check.h"
 
 namespace dmt {
 namespace linalg {
-
-double PowerIterationSpectralNorm(const Matrix& s, int max_iters, Rng* rng,
-                                  double tol, int* iters_used) {
-  DMT_CHECK_EQ(s.rows(), s.cols());
-  const size_t d = s.rows();
-  if (iters_used != nullptr) *iters_used = 0;
-  if (d == 0) return 0.0;
-  std::vector<double> x = RandomUnitVector(d, rng);
-  double lambda = 0.0;
-  size_t restart_next = 0;  // next canonical vector for zero-iterate restarts
-  for (int it = 0; it < max_iters; ++it) {
-    std::vector<double> y = s.MultiplyVector(x);
-    double nrm = Norm(y);
-    if (nrm == 0.0) {
-      // x is in the null space. Restart deterministically on canonical
-      // basis vectors: S e_t is column t, so only S = 0 zeroes them all.
-      bool found = false;
-      while (restart_next < d) {
-        std::fill(x.begin(), x.end(), 0.0);
-        x[restart_next++] = 1.0;
-        y = s.MultiplyVector(x);
-        nrm = Norm(y);
-        if (nrm > 0.0) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        if (iters_used != nullptr) *iters_used = it + 1;
-        return 0.0;  // every column is zero: S = 0
-      }
-    }
-    Scale(1.0 / nrm, y.data(), d);
-    // Rayleigh quotient on the normalized iterate; |.| handles negative
-    // dominant eigenvalues (we iterate on S, not S^2, so convergence to a
-    // negative extreme still yields the right magnitude via the quotient).
-    std::vector<double> sy = s.MultiplyVector(y);
-    const double rho = Dot(y, sy);
-    lambda = std::fabs(rho);
-    if (tol > 0.0) {
-      // Residual-certified stop: ‖S·y − ρ·y‖ ≤ tol·|ρ| guarantees an
-      // eigenvalue within tol·|ρ| of the estimate.
-      double resid_sq = 0.0;
-      for (size_t i = 0; i < d; ++i) {
-        const double r = sy[i] - rho * y[i];
-        resid_sq += r * r;
-      }
-      if (std::sqrt(resid_sq) <= tol * std::max(lambda, 1e-300)) {
-        if (iters_used != nullptr) *iters_used = it + 1;
-        return lambda;
-      }
-    }
-    x = std::move(y);
-  }
-  if (iters_used != nullptr) *iters_used = max_iters;
-  return lambda;
-}
 
 std::vector<double> RandomUnitVector(size_t d, Rng* rng) {
   std::vector<double> x(d);

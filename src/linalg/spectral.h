@@ -1,4 +1,6 @@
-// Spectral helpers used by the evaluation metrics.
+// Random vectors and matrices with known spectral structure: unit
+// vectors, Gaussian matrices and orthogonal bases (the synthetic
+// PAMAP/MSD-like generators and the tests build their inputs from them).
 #ifndef DMT_LINALG_SPECTRAL_H_
 #define DMT_LINALG_SPECTRAL_H_
 
@@ -10,24 +12,6 @@
 
 namespace dmt {
 namespace linalg {
-
-/// Power iteration estimate of the spectral norm (largest |eigenvalue|) of
-/// a symmetric matrix. Cheaper than a full Jacobi decomposition when only
-/// the norm is needed; used as a cross-check of the exact route in tests.
-///
-/// Iterates until the Rayleigh-quotient residual ‖S·y − ρ·y‖ drops to
-/// `tol * |ρ|` or `max_iters` is reached, whichever comes first — a fixed
-/// iteration count silently underestimates on near-tied leading
-/// eigenvalues (λ₁/λ₂ → 1 makes convergence arbitrarily slow), so the
-/// residual test is what certifies the estimate. Pass tol = 0 to disable
-/// early stopping and run exactly `max_iters` iterations (the legacy
-/// fixed-count behaviour). A zero iterate (start vector in the null
-/// space) restarts deterministically on canonical basis vectors instead
-/// of reporting 0 for a non-zero matrix; 0 is returned only when S = 0.
-/// `iters_used`, when non-null, receives the number of iterations run.
-double PowerIterationSpectralNorm(const Matrix& s, int max_iters, Rng* rng,
-                                  double tol = 1e-10,
-                                  int* iters_used = nullptr);
 
 /// Random unit vector of dimension d (uniform on the sphere).
 std::vector<double> RandomUnitVector(size_t d, Rng* rng);

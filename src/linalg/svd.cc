@@ -1,163 +1,40 @@
 #include "linalg/svd.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 
-#include "linalg/vec_ops.h"
 #include "util/check.h"
 
 namespace dmt {
 namespace linalg {
 namespace {
 
-// One-sided Jacobi (Hestenes): orthogonalizes the columns of `w` (n x d,
-// n >= d is not required) by plane rotations, accumulating them into `v`
-// (d x d). On exit the columns of w are mutually orthogonal; their norms are
-// the singular values.
-void OneSidedJacobi(Matrix* w, Matrix* v, double tol, int max_sweeps) {
-  const size_t n = w->rows();
-  const size_t d = w->cols();
-  *v = Matrix::Identity(d);
-  if (n == 0 || d == 0) return;
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool rotated = false;
-    for (size_t p = 0; p + 1 < d; ++p) {
-      for (size_t q = p + 1; q < d; ++q) {
-        // Column inner products.
-        double app = 0.0, aqq = 0.0, apq = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          const double wip = (*w)(i, p);
-          const double wiq = (*w)(i, q);
-          app += wip * wip;
-          aqq += wiq * wiq;
-          apq += wip * wiq;
-        }
-        if (std::fabs(apq) <= tol * std::sqrt(app * aqq) ||
-            std::fabs(apq) < 1e-300) {
-          continue;
-        }
-        rotated = true;
-        const double tau = (aqq - app) / (2.0 * apq);
-        double t;
-        if (tau >= 0.0) {
-          t = 1.0 / (tau + std::sqrt(1.0 + tau * tau));
-        } else {
-          t = -1.0 / (-tau + std::sqrt(1.0 + tau * tau));
-        }
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-        for (size_t i = 0; i < n; ++i) {
-          const double wip = (*w)(i, p);
-          const double wiq = (*w)(i, q);
-          (*w)(i, p) = c * wip - s * wiq;
-          (*w)(i, q) = s * wip + c * wiq;
-        }
-        for (size_t i = 0; i < d; ++i) {
-          const double vip = (*v)(i, p);
-          const double viq = (*v)(i, q);
-          (*v)(i, p) = c * vip - s * viq;
-          (*v)(i, q) = s * vip + c * viq;
-        }
-      }
-    }
-    if (!rotated) break;
+// The leading r eigenpairs of the Gram `w`, factored in place (row i of
+// w becomes eigenvector i), with the eigenvalues clamped at 0.
+RightSingular TopOfGram(Matrix w, size_t r) {
+  const size_t d = w.rows();
+  std::vector<double> lambda(d);
+  std::vector<double> scratch(d);
+  if (d > 0) {
+    SymmetricEigenInPlace(w.Row(0), d, lambda.data(), scratch.data());
   }
+  RightSingular out;
+  for (size_t i = 0; i < r; ++i) {
+    out.squared_sigma.push_back(std::max(0.0, lambda[i]));
+  }
+  w.ResizeRows(r);
+  out.v = w.Transposed();
+  return out;
 }
 
 }  // namespace
 
-SvdResult ThinSVD(const Matrix& a) {
-  const size_t n = a.rows();
-  const size_t d = a.cols();
-  const bool transpose = n < d;
-  // Work on the orientation with the fewer columns so the rotation count is
-  // min(n,d)^2 rather than max(n,d)^2.
-  Matrix w = transpose ? a.Transposed() : a;
-  Matrix rot;
-  OneSidedJacobi(&w, &rot, 1e-14, 60);
-
-  const size_t r = std::min(n, d);
-  const size_t wd = w.cols();
-  // Column norms are the singular values.
-  std::vector<double> sigma(wd);
-  for (size_t j = 0; j < wd; ++j) {
-    double s2 = 0.0;
-    for (size_t i = 0; i < w.rows(); ++i) s2 += w(i, j) * w(i, j);
-    sigma[j] = std::sqrt(s2);
-  }
-  std::vector<size_t> order(wd);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&sigma](size_t x, size_t y) { return sigma[x] > sigma[y]; });
-
-  // Left factor: normalized columns of w; right factor: accumulated
-  // rotations.
-  Matrix left(w.rows(), r);
-  Matrix right(rot.rows(), r);
-  std::vector<double> sig(r);
-  for (size_t jj = 0; jj < r; ++jj) {
-    const size_t j = order[jj];
-    sig[jj] = sigma[j];
-    const double inv = sigma[j] > 0.0 ? 1.0 / sigma[j] : 0.0;
-    for (size_t i = 0; i < w.rows(); ++i) left(i, jj) = w(i, j) * inv;
-    for (size_t i = 0; i < rot.rows(); ++i) right(i, jj) = rot(i, j);
-  }
-
-  SvdResult out;
-  out.sigma = std::move(sig);
-  if (!transpose) {
-    out.u = std::move(left);   // n x r
-    out.v = std::move(right);  // d x r
-  } else {
-    out.u = std::move(right);  // n x r (rotations acted on rows of A)
-    out.v = std::move(left);   // d x r
-  }
-  return out;
-}
-
 RightSingular RightSingularFromGram(const Matrix& gram) {
-  EigenDecomposition e = SymmetricEigen(gram);
-  RightSingular out;
-  out.squared_sigma.resize(e.eigenvalues.size());
-  for (size_t i = 0; i < e.eigenvalues.size(); ++i) {
-    out.squared_sigma[i] = std::max(0.0, e.eigenvalues[i]);
-  }
-  out.v = std::move(e.eigenvectors);
-  return out;
+  DMT_CHECK_EQ(gram.rows(), gram.cols());
+  return TopOfGram(gram, gram.rows());
 }
 
 RightSingular RightSingularOf(const Matrix& a) {
-  // For short-and-wide inputs (n < d, the common case for sketch buffers)
-  // one-sided Jacobi on the n rows is far cheaper than an eigensolve of
-  // the d x d Gram matrix, and more accurate for small singular values.
-  if (a.rows() > 0 && a.rows() < a.cols()) {
-    SvdResult svd = ThinSVD(a);
-    RightSingular out;
-    out.squared_sigma.resize(svd.sigma.size());
-    for (size_t i = 0; i < svd.sigma.size(); ++i) {
-      out.squared_sigma[i] = svd.sigma[i] * svd.sigma[i];
-    }
-    out.v = std::move(svd.v);  // d x r (r = n): callers index i < size()
-    return out;
-  }
-  return RightSingularFromGram(a.Gram());
-}
-
-Matrix RankKApproximation(const Matrix& a, size_t k) {
-  SvdResult svd = ThinSVD(a);
-  const size_t r = std::min(k, svd.sigma.size());
-  Matrix out(a.rows(), a.cols());
-  for (size_t t = 0; t < r; ++t) {
-    const double s = svd.sigma[t];
-    for (size_t i = 0; i < a.rows(); ++i) {
-      const double us = svd.u(i, t) * s;
-      if (us == 0.0) continue;
-      for (size_t j = 0; j < a.cols(); ++j) out(i, j) += us * svd.v(j, t);
-    }
-  }
-  return out;
+  return TopOfGram(a.Gram(), std::min(a.rows(), a.cols()));
 }
 
 }  // namespace linalg

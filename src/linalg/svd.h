@@ -1,54 +1,36 @@
-// Singular value decomposition.
+// Right singular structure {sigma_i^2, v_i} of a matrix, without U —
+// all that sketches and snapshot queries need — from the d x d Gram and
+// one Householder-QL eigensolve (SymmetricEigenInPlace).
 //
-// Two routes are provided:
-//  * RightSingular via the Gram matrix and the dense Householder-QL
-//    eigensolve (fast; exactly what streaming sketches and snapshot
-//    queries need, which never require U), and
-//  * ThinSVD via one-sided Jacobi (Hestenes) rotations on the explicit
-//    matrix, used when U is required or extra accuracy matters.
+// Accuracy: sigma_i^2 is accurate to about d eps sigma_1^2, so sigma_i to
+// about eps sigma_1^2 / sigma_i: ~2e-8 sigma_1 at sigma_i = 1e-8 sigma_1,
+// a few eps sigma_1 for the leading values. V is accurate wherever
+// sigma_i^2 is separated from its neighbours. tests/serving_edge_test.cc
+// pins this against a reference SVD that squares nothing.
 #ifndef DMT_LINALG_SVD_H_
 #define DMT_LINALG_SVD_H_
 
-#include <cstddef>
 #include <vector>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/matrix.h"
+#include "linalg/symmetric_eigen.h"
 
 namespace dmt {
 namespace linalg {
 
-/// Thin SVD A = U diag(sigma) V^T with A n x d, U n x r, V d x r,
-/// r = min(n, d). Singular values are non-increasing and non-negative.
-struct SvdResult {
-  Matrix u;                   // n x r, orthonormal columns
-  std::vector<double> sigma;  // length r, descending
-  Matrix v;                   // d x r, orthonormal columns
-};
-
-/// Full-accuracy thin SVD via one-sided Jacobi on A (transposed internally
-/// when n < d so rotations always act on the shorter side).
-SvdResult ThinSVD(const Matrix& a);
-
-/// Right singular structure {sigma_i^2, v_i} obtained from the d x d Gram
-/// matrix A^T A. Faster than ThinSVD and sufficient for all sketching
-/// algorithms in this library (they only ever need sigma and V).
 struct RightSingular {
   std::vector<double> squared_sigma;  // eigenvalues of A^T A, descending,
                                       // clamped at 0
-  Matrix v;                           // d x d, columns are singular vectors
+  Matrix v;                           // columns are singular vectors
 };
 
-/// Decomposes a Gram matrix (must be symmetric PSD up to roundoff).
+/// Decomposes a Gram matrix (must be symmetric PSD up to roundoff): all d
+/// pairs, `v` d x d.
 RightSingular RightSingularFromGram(const Matrix& gram);
 
-/// {sigma_i^2, v_i} of `a` (n x d) without U: the d x d Gram plus the
-/// dense eigensolve when n >= d, ThinSVD on the short side when
-/// 0 < n < d. For n > 0, `v` has min(n, d) columns.
+/// {sigma_i^2, v_i} of `a` (n x d) from its d x d Gram: the leading
+/// r = min(n, d) pairs, so `v` is d x r like a thin SVD's.
 RightSingular RightSingularOf(const Matrix& a);
-
-/// Reconstructs the best rank-k approximation of `a` from its thin SVD.
-Matrix RankKApproximation(const Matrix& a, size_t k);
 
 }  // namespace linalg
 }  // namespace dmt

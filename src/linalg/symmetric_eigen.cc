@@ -1,4 +1,4 @@
-#include "linalg/jacobi_eigen.h"
+#include "linalg/symmetric_eigen.h"
 
 #include <algorithm>
 #include <cmath>
@@ -239,77 +239,6 @@ EigenDecomposition SymmetricEigen(const Matrix& s) {
                         scratch.data());
   out.eigenvectors = w.Transposed();
   return out;
-}
-
-DMT_NO_ALLOC
-size_t JacobiDiagonalizeInPlace(Matrix* g, Matrix* v) {
-  DMT_CHECK_EQ(g->rows(), g->cols());
-  DMT_CHECK_EQ(v->rows(), g->rows());
-  DMT_CHECK_EQ(v->cols(), g->cols());
-  constexpr double kTol = 1e-14;
-  constexpr int kMaxSweeps = 60;
-  Matrix& a = *g;
-  const size_t n = a.rows();
-  // The Frobenius norm is invariant under the rotations, so computing the
-  // absolute negligibility floor once per call is safe.
-  const double frob = std::sqrt(a.SquaredFrobeniusNorm());
-  const double abs_floor = std::max(kTol * frob / 10.0, 1e-300);
-  size_t rotations = 0;
-
-  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    bool rotated = false;
-    for (size_t p = 0; p + 1 < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
-        const double app = a(p, p);
-        const double aqq = a(q, q);
-        // Skip rotations that cannot change the spectrum noticeably: the
-        // relative test is the standard cyclic-Jacobi accelerator (Golub &
-        // Van Loan §8.5.5); the absolute floor keeps emptied directions
-        // (diagonal ~ 0) from forcing endless noise rotations — exactly
-        // the warm-start case the FD reference backend relies on.
-        if (std::fabs(apq) <= abs_floor ||
-            apq * apq <= 1e-28 * std::fabs(app * aqq)) {
-          continue;
-        }
-        rotated = true;
-        ++rotations;
-        // Classic stable rotation computation (Golub & Van Loan §8.5).
-        const double tau = (aqq - app) / (2.0 * apq);
-        double t;
-        if (tau >= 0.0) {
-          t = 1.0 / (tau + std::sqrt(1.0 + tau * tau));
-        } else {
-          t = -1.0 / (-tau + std::sqrt(1.0 + tau * tau));
-        }
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double sn = t * c;
-
-        // Apply rotation J(p,q,theta) on both sides: A <- J^T A J.
-        for (size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - sn * akq;
-          a(k, q) = sn * akp + c * akq;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - sn * aqk;
-          a(q, k) = sn * apk + c * aqk;
-        }
-        // Accumulate eigenvectors: V <- V J.
-        for (size_t k = 0; k < n; ++k) {
-          const double vkp = (*v)(k, p);
-          const double vkq = (*v)(k, q);
-          (*v)(k, p) = c * vkp - sn * vkq;
-          (*v)(k, q) = sn * vkp + c * vkq;
-        }
-      }
-    }
-    if (!rotated) break;  // converged: every off-diagonal is negligible
-  }
-  return rotations;
 }
 
 double SpectralNormSymmetric(const Matrix& s) {

@@ -1,21 +1,12 @@
-// Dense symmetric eigensolvers.
-//
-// Every decomposition in this library reduces to a small (d <= a few
-// hundred) symmetric eigenproblem: Frequent Directions shrinks, protocol
-// MP2's per-site direction checks, the snapshot factorization and the
-// covariance-error metric all work on d x d Gram matrices. Two solvers
-// live here:
-//
-//  * SymmetricEigenInPlace: Householder tridiagonalization followed by
-//    implicit-shift QL (EISPACK tred2/tql2), ~4/3 d^3 + ~3 d^3 flops with
-//    no sweeps. It is the production path: SymmetricEigen, the Lanczos
-//    Rayleigh-Ritz step and the Lanczos dense route all call it.
-//  * JacobiDiagonalizeInPlace: cyclic Jacobi rotations. Simple and
-//    unconditionally stable, but about 9x slower than QL at d = 44; kept
-//    as the warm-started FD reference backend (DMT_FD_BACKEND=jacobi) and
-//    as the independent reference the tests compare QL against.
-#ifndef DMT_LINALG_JACOBI_EIGEN_H_
-#define DMT_LINALG_JACOBI_EIGEN_H_
+// Dense symmetric eigensolver: SymmetricEigenInPlace, Householder
+// tridiagonalization followed by implicit-shift QL (EISPACK tred2/tql2),
+// ~4/3 d^3 + ~3 d^3 flops with no sweeps. Every dense eigenproblem in the
+// library runs on it — FD shrinks on the Lanczos dense route, the Lanczos
+// Rayleigh-Ritz step, MP2's full-spectrum checks, the snapshot
+// factorization — and the tests check it against an independent
+// cyclic-Jacobi reference (tests/reference_eigen.h).
+#ifndef DMT_LINALG_SYMMETRIC_EIGEN_H_
+#define DMT_LINALG_SYMMETRIC_EIGEN_H_
 
 #include <cstddef>
 #include <vector>
@@ -59,22 +50,10 @@ bool SymmetricEigenInPlace(double* a, size_t n, double* eigenvalues,
 /// read.
 EigenDecomposition SymmetricEigen(const Matrix& s);
 
-/// Diagonalizes symmetric `g` in place by cyclic Jacobi, accumulating the
-/// rotations into `v` (v <- v * J, so that v_in * g_in * v_in^T is
-/// preserved). Returns the number of rotations applied. Convergence:
-/// every off-diagonal entry negligible against ~1e-14 * ||g||_F, or 60
-/// cyclic sweeps.
-///
-/// This is the warm-start workhorse of the FD reference backend: a matrix
-/// kept in its own (approximate) eigenbasis pays only for the few
-/// rotations the new data actually requires. Eigenvalues end up on the
-/// diagonal of `g`, unsorted.
-size_t JacobiDiagonalizeInPlace(Matrix* g, Matrix* v);
-
 /// Largest |eigenvalue| of symmetric `s` (i.e. the spectral norm).
 double SpectralNormSymmetric(const Matrix& s);
 
 }  // namespace linalg
 }  // namespace dmt
 
-#endif  // DMT_LINALG_JACOBI_EIGEN_H_
+#endif  // DMT_LINALG_SYMMETRIC_EIGEN_H_

@@ -43,8 +43,8 @@ double CovarianceError(const linalg::Matrix& gram_a,
   diff.Subtract(gram_b);
   // Only the two spectral extremes of the (indefinite) difference matter,
   // so this goes through the partial Lanczos solver — two top-1 solves
-  // instead of a full d x d Jacobi decomposition. Falls back to the exact
-  // route internally if a solve misses its residual tolerance.
+  // instead of a full d x d QL decomposition. Falls back to the full
+  // solve internally if a partial one misses its residual tolerance.
   return linalg::SpectralNormSymmetricLanczos(diff) / frob_a_sq;
 }
 

@@ -5,7 +5,7 @@
 //       = max_{unit x} |‖Ax‖² − ‖Bx‖²| / ‖A‖²_F
 //
 // computed via two top-1 Lanczos solves on the d x d difference (only the
-// spectral extremes are needed; the exact Jacobi route remains the
+// spectral extremes are needed; the full Householder-QL solve remains the
 // fallback when a partial solve misses its residual tolerance).
 #ifndef DMT_MATRIX_ERROR_H_
 #define DMT_MATRIX_ERROR_H_

@@ -3,14 +3,17 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/contracts.h"
 
 namespace dmt {
 namespace serve {
 
+DMT_HOT_KERNEL
 QueryEngine::QueryEngine(const Snapshot* snapshot) : snapshot_(snapshot) {
   DMT_CHECK(snapshot != nullptr);
 }
 
+DMT_HOT_KERNEL
 std::vector<HHEntry> QueryEngine::TopK(size_t k) const {
   DMT_CHECK_GE(k, 1u);
   const std::vector<HHEntry>& by_weight = snapshot_->by_weight;
@@ -19,6 +22,7 @@ std::vector<HHEntry> QueryEngine::TopK(size_t k) const {
                               by_weight.begin() + static_cast<long>(n));
 }
 
+DMT_HOT_KERNEL
 double QueryEngine::TopKMass(size_t k) const {
   DMT_CHECK_GE(k, 1u);
   const std::vector<double>& prefix = snapshot_->prefix_weight;
@@ -26,6 +30,7 @@ double QueryEngine::TopKMass(size_t k) const {
   return prefix[std::min(k, prefix.size()) - 1];
 }
 
+DMT_HOT_KERNEL
 double QueryEngine::ElementWeight(uint64_t element) const {
   const std::vector<HHEntry>& idx = snapshot_->by_element;
   auto it = std::lower_bound(idx.begin(), idx.end(), element,
@@ -36,6 +41,7 @@ double QueryEngine::ElementWeight(uint64_t element) const {
   return it->weight;
 }
 
+DMT_HOT_KERNEL
 std::vector<HHEntry> QueryEngine::HeavyHitters(double phi,
                                                double eps) const {
   DMT_CHECK_GT(phi, 0.0);
@@ -52,6 +58,7 @@ std::vector<HHEntry> QueryEngine::HeavyHitters(double phi,
   return out;
 }
 
+DMT_HOT_KERNEL
 std::vector<double> QueryEngine::TopSingularValues(size_t k) const {
   DMT_CHECK_GE(k, 1u);
   const std::vector<double>& sigma = snapshot_->sigma;
@@ -60,6 +67,7 @@ std::vector<double> QueryEngine::TopSingularValues(size_t k) const {
                              sigma.begin() + static_cast<long>(n));
 }
 
+DMT_HOT_KERNEL
 std::vector<double> QueryEngine::ProjectRow(const std::vector<double>& x,
                                             size_t rank) const {
   DMT_CHECK_GE(rank, 1u);
@@ -76,6 +84,7 @@ std::vector<double> QueryEngine::ProjectRow(const std::vector<double>& x,
   return out;
 }
 
+DMT_HOT_KERNEL
 double QueryEngine::CovarianceQuadraticForm(
     const std::vector<double>& x) const {
   const linalg::Matrix& b = snapshot_->sketch;

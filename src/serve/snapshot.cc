@@ -31,11 +31,11 @@ void FinishHHSection(std::vector<HHEntry> by_element, Snapshot* snap) {
 }
 
 // Factors the sketch B = UΣVᵀ into the snapshot's σ / V query structures.
-// Queries never need U, so this takes RightSingularOf's route: the d x d
-// Gram and a dense eigensolve when rows >= cols (MP2's coordinator
-// sketch), one-sided Jacobi on the short side otherwise. An empty sketch
-// (no rows yet, or a zero-row FD buffer) leaves them empty — the
-// QueryEngine's documented empty-state answers apply.
+// Queries never need U, so this is RightSingularOf: one Householder-QL
+// solve of the d x d Gram for every sketch shape (MP2's tall coordinator
+// sketch and MP1's short FD buffer alike), keeping r = min(rows, cols)
+// pairs. An empty sketch (no rows yet, or a zero-row FD buffer) leaves
+// them empty — the QueryEngine's documented empty-state answers apply.
 void FinishMatrixSection(linalg::Matrix sketch, Snapshot* snap) {
   snap->has_matrix = true;
   snap->sketch = std::move(sketch);

@@ -46,6 +46,7 @@ SnapshotReader::SnapshotReader(SnapshotStore* store)
 
 SnapshotReader::~SnapshotReader() { store_->ReleaseSlot(slot_); }
 
+DMT_HOT_KERNEL
 SnapshotRef SnapshotReader::Acquire() {
   SnapshotStore::Slot& slot = store_->slots_[slot_];
   // 1. Announce the epoch we are entering under. seq_cst so the announce

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <utility>
 
-#include "linalg/jacobi_eigen.h"
-#include "linalg/kernels.h"
 #include "linalg/vec_ops.h"
 #include "util/check.h"
 #include "util/contracts.h"
@@ -22,8 +18,8 @@ FrequentDirections::FrequentDirections(size_t ell, size_t dim)
 
 FdShrinkBackend FrequentDirections::DefaultShrinkBackend() {
   static const FdShrinkBackend def =
-      GetEnvString("DMT_FD_BACKEND", "lanczos") == "jacobi"
-          ? FdShrinkBackend::kJacobi
+      GetEnvString("DMT_FD_BACKEND", "lanczos") == "dense"
+          ? FdShrinkBackend::kDense
           : FdShrinkBackend::kLanczos;
   return def;
 }
@@ -103,20 +99,6 @@ void FrequentDirections::Compress() {
   if (buffer_.rows() > ell_) Shrink();
 }
 
-DMT_ALLOC_OK("one-time Jacobi-path workspace setup, gated on jacobi_ready_")
-void FrequentDirections::EnsureJacobiWorkspace() {
-  if (jacobi_ready_) return;
-  DMT_CHECK_GT(dim_, 0u);
-  basis_ = linalg::Matrix(dim_, dim_);
-  gram_work_ = linalg::Matrix(dim_, dim_);
-  basis_work_ = linalg::Matrix(dim_, dim_);
-  rotated_ = linalg::Matrix(0, dim_);
-  rotated_.ReserveRows(BufferCapacityRows());
-  diag_.assign(dim_, 0.0);
-  order_.resize(dim_);
-  jacobi_ready_ = true;
-}
-
 DMT_ALLOC_OK("one-time shrink workspace setup; no-op once buffer and seed have the sketch's shape")
 void FrequentDirections::EnsureShrinkWorkspace() {
   buffer_.ReserveRows(BufferCapacityRows());
@@ -131,33 +113,28 @@ void FrequentDirections::Shrink() {
   ++shrink_count_;
   DMT_CHECK_GT(dim_, 0u);
   EnsureShrinkWorkspace();
-  if (backend_ == FdShrinkBackend::kJacobi) {
-    ShrinkJacobi();
-    return;
+  if (backend_ == FdShrinkBackend::kLanczos) {
+    if (ShrinkLanczos(0)) return;
+    ++lanczos_fallbacks_;  // rerun on the same, untouched rows
   }
-  if (!ShrinkLanczos()) {
-    // Residual tolerance missed (adversarial seed/spectrum): rerun this
-    // shrink on the exact reference path. The buffer is untouched until a
-    // Lanczos solve succeeds, so the rerun sees the same rows.
-    ++lanczos_fallbacks_;
-    ShrinkJacobi();
-  }
+  ShrinkLanczos(dim_);
 }
 
 DMT_NO_ALLOC
-bool FrequentDirections::ShrinkLanczos() {
+bool FrequentDirections::ShrinkLanczos(size_t basis_size) {
   const size_t d = dim_;
   const size_t k = std::min(ell_ + 1, d);
 
   linalg::LanczosOptions opts;
   opts.tol = 1e-11;
+  opts.basis_size = basis_size;
   if (warm_seed_valid_) opts.seed = warm_seed_.data();
 
   // The solver picks the operator (rows, Gram or the dense route) from
-  // the buffer's shape.
+  // the buffer's shape and basis_size.
   const linalg::LanczosInfo info =
       eigensolver_.TopKOfRows(buffer_, k, &eigenvalues_, &eigenvectors_, opts);
-  if (!info.converged) return false;
+  if (!info.converged && basis_size != d) return false;
 
   const double delta =
       ell_ < d ? std::max(0.0, eigenvalues_[ell_]) : 0.0;
@@ -185,97 +162,7 @@ bool FrequentDirections::ShrinkLanczos() {
     for (size_t j = 0; j < d; ++j) row[j] = scale * v[j];
   }
   buffer_.ResizeRows(kept);
-  jacobi_warm_valid_ = false;  // kept rows are no longer basis_ columns
   return true;
-}
-
-DMT_NO_ALLOC
-void FrequentDirections::ShrinkJacobi() {
-  EnsureJacobiWorkspace();
-  if (!jacobi_warm_valid_) {
-    // Cold start: no rows are pre-diagonalized, the rotation basis is
-    // fresh. The warm machinery below then rotates every buffer row in.
-    basis_.SetZero();
-    for (size_t i = 0; i < dim_; ++i) basis_(i, i) = 1.0;
-    gram_work_.SetZero();
-    kept_rows_ = 0;
-    jacobi_warm_valid_ = true;
-  }
-  const size_t d = dim_;
-  const size_t n = buffer_.rows();
-
-  // Invariant on entry: buffer rows [0, kept_rows_) are exact scaled
-  // eigenvectors of basis_, so their Gram in that basis is the diagonal
-  // already stored in gram_work_. Only the rows appended since the last
-  // shrink need to be rotated in: one blocked GEMM (R = New * V) plus one
-  // blocked symmetric accumulation (G += R^T R).
-  const size_t nn = n - kept_rows_;
-  if (nn > 0) {
-    rotated_.ResizeRows(nn);
-    linalg::kernels::Gemm(buffer_.Row(kept_rows_), basis_.Row(0),
-                          rotated_.Row(0), nn, d, d);
-    linalg::kernels::GramAccumulate(rotated_.Row(0), nn, d,
-                                    gram_work_.Row(0));
-  }
-
-  // Warm-started cyclic Jacobi: the kept block is already diagonal, so
-  // only couplings introduced by the new rows cost rotations. basis_
-  // absorbs the rotations and stays the full eigenbasis.
-  linalg::JacobiDiagonalizeInPlace(&gram_work_, &basis_);
-
-  for (size_t i = 0; i < d; ++i) diag_[i] = gram_work_(i, i);
-  std::iota(order_.begin(), order_.end(), size_t{0});
-  std::sort(order_.begin(), order_.end(), [this](size_t x, size_t y) {
-    // Index tie-break keeps the permutation deterministic under std::sort.
-    if (diag_[x] != diag_[y]) return diag_[x] > diag_[y];
-    return x < y;
-  });
-
-  // Cutoff: the (ell+1)-th largest eigenvalue of B^T B, clamped at 0
-  // (trailing eigenvalues of a rank-deficient Gram are roundoff noise).
-  const double delta =
-      ell_ < d ? std::max(0.0, diag_[order_[ell_]]) : 0.0;
-  total_shrinkage_ += delta;
-
-  size_t kept = 0;
-  for (size_t i = 0; i < ell_ && i < d; ++i) {
-    if (diag_[order_[i]] - delta <= 0.0) break;  // sorted descending
-    kept = i + 1;
-  }
-
-  // Rebuild the surviving rows in place: row i = sqrt(lambda_i - delta)
-  // times eigenvector order_[i]. Safe because kept <= ell < n and the
-  // source is basis_, not the buffer. The max() clamps the subtraction
-  // against roundoff-negative differences (near-tied lambda_ell ~
-  // lambda_{ell+1}) that would otherwise sqrt into NaN.
-  for (size_t i = 0; i < kept; ++i) {
-    const double scale = std::sqrt(std::max(0.0, diag_[order_[i]] - delta));
-    const size_t c = order_[i];
-    double* row = buffer_.Row(i);
-    for (size_t j = 0; j < d; ++j) row[j] = scale * basis_(j, c);
-  }
-  buffer_.ResizeRows(kept);
-
-  // Re-establish the invariant for the next warm start: permute the basis
-  // columns into eigenvalue order (row i <-> column i) and store the
-  // shrunk spectrum as the new diagonal Gram.
-  for (size_t r = 0; r < d; ++r) {
-    const double* src = basis_.Row(r);
-    double* dst = basis_work_.Row(r);
-    for (size_t i = 0; i < d; ++i) dst[i] = src[order_[i]];
-  }
-  std::swap(basis_, basis_work_);
-  gram_work_.SetZero();
-  for (size_t i = 0; i < kept; ++i) {
-    gram_work_(i, i) = std::max(0.0, diag_[order_[i]] - delta);
-  }
-  kept_rows_ = kept;
-
-  // Keep the Lanczos warm seed fresh too, so switching backends
-  // mid-stream still warm-starts (column 0 of the permuted basis is the
-  // leading eigenvector; storage pre-sized by EnsureShrinkWorkspace).
-  for (size_t r = 0; r < d; ++r) warm_seed_[r] = basis_(r, 0);
-  warm_seed_valid_ = true;
 }
 
 double FrequentDirections::SquaredNormAlong(

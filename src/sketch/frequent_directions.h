@@ -11,34 +11,24 @@
 //    Amortized update cost is O(d^2) per row.
 //  * A shrink only ever needs the top ell+1 eigenpairs of the buffer's
 //    Gram (the FD analysis [Liberty KDD'13; Ghashami & Phillips SODA'14]
-//    depends only on delta = lambda_{ell+1} and the leading subspace).
-//    The default shrink backend is therefore a thick-restart Lanczos
-//    partial eigensolver (linalg/lanczos.h), and a shrink is one
-//    LanczosSolver::TopKOfRows call on the buffer: the solver picks the
-//    operator from the shape. When the buffer is wider than tall (fewer
-//    rows than columns — always the case when 4*ell < d, and for
-//    streaming 2*ell-row shrinks whenever 2*ell < d) it iterates on the
-//    rows — two GEMV-shaped passes per matvec, never materializing the
-//    d x d Gram — and otherwise on one blocked Gram of the buffer. When
-//    the Krylov basis would span R^d (2 ell + 10 >= d, e.g. MP1 at
-//    eps = 0.1 on PAMAP's d = 44) it takes its dense route instead: one
-//    blocked Gram, factored directly by the Householder-QL kernel. The
-//    Krylov seed is warm-started from the previous shrink's leading
-//    eigenvector. If a solve fails its residual test (rare: one
-//    warm-seeded shrink in BENCH_partial_eigen.json's (64, 1024) stream;
-//    see lanczos_fallback_count) the shrink transparently reruns on the
-//    Jacobi reference path.
-//  * The full-spectrum Jacobi pipeline is kept as the reference backend
-//    (set_shrink_backend / DMT_FD_BACKEND=jacobi): allocation-free and
-//    warm-started, it keeps the surviving rows as exact scaled
-//    eigenvectors of a retained rotation basis V so only rows appended
-//    since the last shrink are rotated in (one blocked GEMM + one
-//    blocked symmetric accumulation) before a warm cyclic Jacobi sweep.
+//    depends only on delta = lambda_{ell+1} and the leading subspace), so
+//    it is one LanczosSolver::TopKOfRows call on the buffer
+//    (linalg/lanczos.h), which picks the operator from the shape: row
+//    matvecs — two GEMV-shaped passes, the d x d Gram never materialized
+//    — when the buffer has fewer rows than columns (always when
+//    4*ell < d), one blocked Gram otherwise, and its dense route — one
+//    blocked Gram factored by Householder-QL — when the Krylov basis
+//    would span R^d (2 ell + 10 >= d, e.g. MP1 at eps = 0.1 on PAMAP's
+//    d = 44). The Krylov seed is the previous shrink's leading
+//    eigenvector. A Krylov solve that misses its residual test reruns on
+//    the dense route (lanczos_fallback_count).
+//  * The reference backend (set_shrink_backend / DMT_FD_BACKEND=dense)
+//    always takes the dense route.
 //  * Both backends shrink at the Gram level (subtract the (ell+1)-th
 //    eigenvalue from every kept eigenvalue, clamp at 0, rebuild rows as
 //    sqrt(lambda') * v^T in place), numerically equivalent to the SVD
 //    formulation in the paper; tests/fd_shrink_test.cc pins both against
-//    a cold RightSingularOf reference and against each other.
+//    a cold reference SVD of every buffer and against each other.
 //  * Sketches are mergeable [Agarwal et al. 2012]: Merge() bulk-appends
 //    the other sketch's rows and lets one shrink re-compress; errors add,
 //    so the combined sketch still satisfies the bound for A1 stacked on
@@ -62,8 +52,9 @@ namespace sketch {
 enum class FdShrinkBackend {
   /// Thick-restart Lanczos, top ell+1 pairs only (the default fast path).
   kLanczos,
-  /// Full-spectrum warm-started cyclic Jacobi (the reference path).
-  kJacobi,
+  /// One blocked Gram plus a full Householder-QL solve (the reference
+  /// path, and the Lanczos backend's fallback).
+  kDense,
 };
 
 /// Streaming Frequent Directions sketch.
@@ -123,15 +114,14 @@ class FrequentDirections {
   /// Number of shrink (eigendecomposition) events so far.
   size_t shrink_count() const { return shrink_count_; }
 
-  /// Selects the shrink eigensolver. May be switched at any time — the
-  /// Jacobi path cold-starts after a Lanczos shrink (its warm-start
-  /// invariant no longer holds) and re-warms from there.
+  /// Selects the shrink eigensolver. May be switched at any time.
   void set_shrink_backend(FdShrinkBackend backend) { backend_ = backend; }
   FdShrinkBackend shrink_backend() const { return backend_; }
-  /// Process-wide default backend: Lanczos unless DMT_FD_BACKEND=jacobi.
+  /// Process-wide default backend: Lanczos unless DMT_FD_BACKEND=dense.
   static FdShrinkBackend DefaultShrinkBackend();
-  /// Shrinks where the Lanczos solve missed its residual tolerance and
-  /// the Jacobi reference path ran instead (usually 0; observability).
+  /// Shrinks where the Krylov solve missed its residual tolerance and the
+  /// dense route ran instead (usually 0; non-finite rows always fall
+  /// back; observability).
   size_t lanczos_fallback_count() const { return lanczos_fallbacks_; }
 
  private:
@@ -144,19 +134,14 @@ class FrequentDirections {
   /// it first, so the shrink paths themselves are DMT_NO_ALLOC.
   void EnsureShrinkWorkspace();
 
-  /// One-time (per sketch) allocation of the Jacobi-path workspaces,
-  /// deferred until the first Jacobi shrink so Lanczos-backed sketches
-  /// never pay for the three d x d matrices.
-  void EnsureJacobiWorkspace();
-
   void ShrinkIfNeeded();
   void Shrink();
-  /// Jacobi reference shrink (cold-starts when jacobi_warm_valid_ is
-  /// false, e.g. right after a Lanczos shrink).
-  void ShrinkJacobi();
-  /// Lanczos partial shrink; returns false if the solve did not converge
-  /// (caller then runs ShrinkJacobi on the untouched buffer).
-  bool ShrinkLanczos();
+  /// One shrink through the eigensolver. `basis_size` 0 lets the solver
+  /// pick Krylov or its dense route from the shape; dim_ forces the
+  /// dense route. Returns false, with the buffer untouched, when a
+  /// Krylov solve missed its residual test. A dense solve is applied as
+  /// computed: it only reports unconverged on non-finite rows.
+  bool ShrinkLanczos(size_t basis_size);
 
   size_t ell_;
   size_t dim_;
@@ -167,26 +152,12 @@ class FrequentDirections {
   FdShrinkBackend backend_;
   size_t lanczos_fallbacks_ = 0;
 
-  // --- Lanczos backend state (allocated lazily on first use) ---
+  // --- Eigensolver state (allocated lazily on first use) ---
   linalg::LanczosSolver eigensolver_;
   std::vector<double> eigenvalues_;   // top ell+1, descending
   linalg::Matrix eigenvectors_;       // (ell+1) x d eigenvector rows
   std::vector<double> warm_seed_;     // previous shrink's leading vector
   bool warm_seed_valid_ = false;      // warm_seed_ holds a real eigenvector
-
-  // --- Jacobi backend state (see EnsureJacobiWorkspace) ---
-  bool jacobi_ready_ = false;
-  // True when the warm-start invariant holds: buffer rows [0, kept_rows_)
-  // are exact scaled eigenvectors of basis_ with diagonal Gram stored in
-  // gram_work_. A Lanczos shrink invalidates it.
-  bool jacobi_warm_valid_ = false;
-  size_t kept_rows_ = 0;
-  linalg::Matrix basis_;       // d x d rotation carried across shrinks
-  linalg::Matrix gram_work_;   // d x d rotated Gram (diagonal after shrink)
-  linalg::Matrix basis_work_;  // d x d column-permutation scratch
-  linalg::Matrix rotated_;     // new rows rotated into basis_ (<= 4*ell x d)
-  std::vector<double> diag_;   // eigenvalue scratch
-  std::vector<size_t> order_;  // descending sort permutation scratch
 };
 
 }  // namespace sketch

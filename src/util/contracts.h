@@ -119,7 +119,9 @@
 // src/ carries it, including ones with their own build files. It pins the
 // entry, not the loops inside: a kernel whose hot loop then lands across
 // a 64-byte line also has to place that loop (see kernels::Rank1Update).
-// Put it on the definition, like DMT_NO_ALLOC. GCC and Clang honour it;
+// Put it on the definition, like DMT_NO_ALLOC. Besides the linalg
+// kernels it pins the serving query path (every out-of-line QueryEngine
+// entry point and SnapshotReader::Acquire). GCC and Clang honour it;
 // other compilers get nothing.
 #if defined(__GNUC__) || defined(__clang__)
 #define DMT_HOT_KERNEL __attribute__((aligned(64)))

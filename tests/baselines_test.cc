@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic_matrix.h"
-#include "linalg/jacobi_eigen.h"
 #include "linalg/svd.h"
+#include "linalg/symmetric_eigen.h"
 #include "matrix/error.h"
 
 namespace dmt {

@@ -1,6 +1,6 @@
 // Pins the Householder-QL dense eigensolver (SymmetricEigenInPlace and
 // SymmetricEigen) and the Lanczos dense route against the independent
-// cyclic-Jacobi reference (JacobiDiagonalizeInPlace): PAMAP- and MSD-like
+// cyclic-Jacobi reference (tests/reference_eigen.h): PAMAP- and MSD-like
 // Grams, an indefinite 256 x 256 matrix, and the degenerate shapes —
 // zero, 1 x 1, all-tied, rank-1, graded and already-tridiagonal — plus
 // determinism and non-finite input. The dense-route cases also pin how
@@ -16,11 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic_matrix.h"
-#include "linalg/jacobi_eigen.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/spectral.h"
+#include "linalg/symmetric_eigen.h"
 #include "linalg/vec_ops.h"
+#include "reference_eigen.h"
 #include "util/rng.h"
 
 namespace dmt {
@@ -29,30 +30,6 @@ namespace {
 
 // Residual and orthogonality bound, relative to ||S||_F.
 constexpr double kTol = 1e-13;
-
-struct Reference {
-  std::vector<double> values;  // descending
-  Matrix vectors;              // column i pairs with values[i]
-};
-
-// Cold cyclic Jacobi, sorted descending.
-Reference JacobiReference(const Matrix& s) {
-  const size_t n = s.rows();
-  Matrix g = s;
-  Matrix v = Matrix::Identity(n);
-  JacobiDiagonalizeInPlace(&g, &v);
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&g](size_t a, size_t b) { return g(a, a) > g(b, b); });
-  Reference ref;
-  ref.vectors = Matrix(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    ref.values.push_back(g(order[i], order[i]));
-    for (size_t k = 0; k < n; ++k) ref.vectors(k, i) = v(k, order[i]);
-  }
-  return ref;
-}
 
 struct KernelResult {
   std::vector<double> values;

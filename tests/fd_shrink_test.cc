@@ -1,21 +1,25 @@
-// Pins the warm-started, allocation-free FD shrink pipeline against the
-// cold-eigendecomposition formulation it replaced, and covers the bulk
-// AppendRows path (one shrink per buffer fill instead of one per ell
-// rows).
+// Pins the allocation-free FD shrink pipeline (both backends) against a
+// cold reference SVD of every buffer, covers the bulk AppendRows path
+// (one shrink per buffer fill instead of one per ell rows), and pins
+// when the Lanczos backend falls back to the dense route.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic_matrix.h"
-#include "linalg/jacobi_eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/spectral.h"
-#include "linalg/svd.h"
+#include "linalg/symmetric_eigen.h"
+#include "reference_eigen.h"
 #include "sketch/frequent_directions.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace dmt {
 namespace sketch {
@@ -24,8 +28,9 @@ namespace {
 using linalg::Matrix;
 
 // The pre-kernel (seed) shrink pipeline: buffer rows, and on every 2*ell
-// fill run a cold RightSingularOf decomposition from scratch. Kept as the
-// reference semantics the warm-started pipeline must reproduce.
+// fill run a cold decomposition from scratch — the test-only reference
+// SVD, so the QL kernel under both backends never checks itself. Kept as
+// the reference semantics the shrink pipeline must reproduce.
 class ColdReferenceFd {
  public:
   explicit ColdReferenceFd(size_t ell, size_t dim = 0)
@@ -42,17 +47,17 @@ class ColdReferenceFd {
 
   void Shrink() {
     ++shrink_count_;
-    linalg::RightSingular rs = linalg::RightSingularOf(buffer_);
-    const size_t d = rs.squared_sigma.size();
-    const double delta = ell_ < d ? rs.squared_sigma[ell_] : 0.0;
+    const linalg::ReferenceSvdResult svd = linalg::ReferenceSvd(buffer_);
+    const size_t r = svd.sigma.size();
+    const double delta = ell_ < r ? svd.sigma[ell_] * svd.sigma[ell_] : 0.0;
     total_shrinkage_ += delta;
     Matrix next(0, 0);
-    for (size_t i = 0; i < d && i < ell_; ++i) {
-      const double lam = rs.squared_sigma[i] - delta;
+    for (size_t i = 0; i < r && i < ell_; ++i) {
+      const double lam = svd.sigma[i] * svd.sigma[i] - delta;
       if (lam <= 0.0) break;
       const double scale = std::sqrt(lam);
       std::vector<double> row(dim_);
-      for (size_t j = 0; j < dim_; ++j) row[j] = scale * rs.v(j, i);
+      for (size_t j = 0; j < dim_; ++j) row[j] = scale * svd.v(j, i);
       next.AppendRow(row);
     }
     if (next.rows() == 0) next = Matrix(0, dim_);
@@ -96,9 +101,8 @@ std::vector<std::vector<double>> GaussianRows(size_t n, size_t d,
   return rows;
 }
 
-// One shrink, warm pipeline vs cold reference, across the shapes that
-// exercise both decomposition regimes: wide buffer (2*ell < d, the seed's
-// ThinSVD route) and tall buffer (2*ell > d, the seed's Gram route).
+// One shrink, pipeline vs cold reference, across wide (2*ell < d) and
+// tall (2*ell > d) buffers.
 class ShrinkEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
@@ -131,10 +135,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ShrinkEquivalenceTest,
                                            std::make_tuple(4u, 8u),
                                            std::make_tuple(16u, 12u)));
 
-// The warm start is only warm from the second shrink onward (the first
-// starts from an identity basis). Drive hundreds of shrinks and require
-// the pipelines to stay equivalent: same shrink schedule, same error
-// accounting, and spectrally indistinguishable sketches.
+// The Lanczos warm seed is only warm from the second shrink onward. Drive
+// hundreds of shrinks and require the pipelines to stay equivalent: same
+// shrink schedule, same error accounting, and spectrally
+// indistinguishable sketches.
 TEST(FdShrinkTest, WarmStartTracksColdPathAcrossManyShrinks) {
   const size_t ell = 5, d = 10, n = 600;
   FrequentDirections warm(ell, d);
@@ -159,7 +163,7 @@ TEST(FdShrinkTest, WarmStartTracksColdPathAcrossManyShrinks) {
 }
 
 // Low-rank streams: the shrink must keep recovering the structure exactly
-// (delta ~ 0) through the warm-started path as well.
+// (delta ~ 0) through the warm-seeded path as well.
 TEST(FdShrinkTest, LowRankStreamKeepsNearZeroShrinkage) {
   const size_t ell = 8, d = 12;
   FrequentDirections warm(ell, d);
@@ -222,36 +226,36 @@ TEST(FdShrinkTest, AppendRowsBulkPathShrinksFarLessOften) {
             -1e-8 * bulk.stream_squared_frobenius());
 }
 
-// Tentpole equivalence: the Lanczos-backed FD must match the Jacobi
-// reference backend shrink-for-shrink — same shrink schedule, matching
-// shrinkage accounting and spectra, and a coordinator-level covariance
-// error that agrees within 1e-8.
+// Backend equivalence: the Lanczos-backed FD must match the dense
+// reference backend (a full QL solve per shrink) shrink-for-shrink — same
+// shrink schedule, matching shrinkage accounting and spectra, and a
+// coordinator-level covariance error that agrees within 1e-8.
 TEST(FdShrinkTest, LanczosBackendMatchesJacobiBackend) {
   const size_t ell = 8, d = 20, n = 800;
   FrequentDirections lanczos(ell, d);
   lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
-  FrequentDirections jacobi(ell, d);
-  jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
+  FrequentDirections dense(ell, d);
+  dense.set_shrink_backend(FdShrinkBackend::kDense);
 
   Matrix a;
   for (const auto& r : GaussianRows(n, d, 21)) {
     a.AppendRow(r);
     lanczos.Append(r);
-    jacobi.Append(r);
+    dense.Append(r);
   }
   ASSERT_GE(lanczos.shrink_count(), 40u);
-  EXPECT_EQ(lanczos.shrink_count(), jacobi.shrink_count());
+  EXPECT_EQ(lanczos.shrink_count(), dense.shrink_count());
   EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
   EXPECT_DOUBLE_EQ(lanczos.stream_squared_frobenius(),
-                   jacobi.stream_squared_frobenius());
+                   dense.stream_squared_frobenius());
 
   const double scale = lanczos.stream_squared_frobenius();
-  EXPECT_NEAR(lanczos.total_shrinkage(), jacobi.total_shrinkage(),
+  EXPECT_NEAR(lanczos.total_shrinkage(), dense.total_shrinkage(),
               1e-8 * scale);
   std::vector<double> sl = Spectrum(lanczos.sketch(), d);
-  std::vector<double> sj = Spectrum(jacobi.sketch(), d);
+  std::vector<double> sd = Spectrum(dense.sketch(), d);
   for (size_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(sl[i] * sl[i], sj[i] * sj[i], 1e-8 * scale) << "i=" << i;
+    EXPECT_NEAR(sl[i] * sl[i], sd[i] * sd[i], 1e-8 * scale) << "i=" << i;
   }
 
   // Coordinator-level agreement: covariance error of the two sketches
@@ -262,45 +266,46 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiBackend) {
     diff.Subtract(fd.Gram());
     return linalg::SpectralNormSymmetric(diff) / a.SquaredFrobeniusNorm();
   };
-  EXPECT_NEAR(cov_err(lanczos), cov_err(jacobi), 1e-8);
+  EXPECT_NEAR(cov_err(lanczos), cov_err(dense), 1e-8);
 }
 
 // Wide-buffer regime (4*ell < d): the Lanczos path iterates on the rows
-// without materializing the d x d Gram; it must still match the Jacobi
-// reference.
+// without materializing the d x d Gram; it must still match the dense
+// reference backend.
 TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
   const size_t ell = 4, d = 48, n = 200;  // 4*ell = 16 < d
   FrequentDirections lanczos(ell, d);
   lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
-  FrequentDirections jacobi(ell, d);
-  jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
+  FrequentDirections dense(ell, d);
+  dense.set_shrink_backend(FdShrinkBackend::kDense);
   for (const auto& r : GaussianRows(n, d, 31)) {
     lanczos.Append(r);
-    jacobi.Append(r);
+    dense.Append(r);
   }
   ASSERT_GE(lanczos.shrink_count(), 10u);
-  EXPECT_EQ(lanczos.shrink_count(), jacobi.shrink_count());
+  EXPECT_EQ(lanczos.shrink_count(), dense.shrink_count());
   EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
   const double scale = lanczos.stream_squared_frobenius();
-  EXPECT_NEAR(lanczos.total_shrinkage(), jacobi.total_shrinkage(),
+  EXPECT_NEAR(lanczos.total_shrinkage(), dense.total_shrinkage(),
               1e-8 * scale);
   std::vector<double> sl = Spectrum(lanczos.sketch(), d);
-  std::vector<double> sj = Spectrum(jacobi.sketch(), d);
+  std::vector<double> sd = Spectrum(dense.sketch(), d);
   for (size_t i = 0; i < d; ++i) {
-    EXPECT_NEAR(sl[i] * sl[i], sj[i] * sj[i], 1e-8 * scale) << "i=" << i;
+    EXPECT_NEAR(sl[i] * sl[i], sd[i] * sd[i], 1e-8 * scale) << "i=" << i;
   }
 }
 
 // MP1's coordinator shape: (ell, d) = (20, 44) fed by merged site
 // sketches, so shrinks see buffers of n = 40..63 rows on both sides of
 // n = d — all on the solver's dense route (2 ell + 10 >= d). The Lanczos
-// backend must still match the Jacobi reference shrink for shrink.
+// backend must still match the dense reference backend shrink for
+// shrink.
 TEST(FdShrinkTest, LanczosBackendMatchesJacobiAtMp1CoordinatorShape) {
   const size_t ell = 20, d = 44;
   FrequentDirections lanczos(ell, d);
   lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
-  FrequentDirections jacobi(ell, d);
-  jacobi.set_shrink_backend(FdShrinkBackend::kJacobi);
+  FrequentDirections dense(ell, d);
+  dense.set_shrink_backend(FdShrinkBackend::kDense);
 
   data::SyntheticMatrixGenerator gen(
       data::SyntheticMatrixGenerator::PamapLike(17));
@@ -317,16 +322,68 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiAtMp1CoordinatorShape) {
       max_n = std::max(max_n, n);
     }
     lanczos.Merge(site);
-    jacobi.Merge(site);
+    dense.Merge(site);
   }
   EXPECT_LT(min_n, d);
   EXPECT_GE(max_n, d);
   ASSERT_GE(lanczos.shrink_count(), 100u);
-  EXPECT_EQ(lanczos.shrink_count(), jacobi.shrink_count());
+  EXPECT_EQ(lanczos.shrink_count(), dense.shrink_count());
   EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
-  EXPECT_EQ(lanczos.rows(), jacobi.rows());
-  EXPECT_NEAR(lanczos.total_shrinkage(), jacobi.total_shrinkage(),
-              1e-8 * jacobi.total_shrinkage());
+  EXPECT_EQ(lanczos.rows(), dense.rows());
+  EXPECT_NEAR(lanczos.total_shrinkage(), dense.total_shrinkage(),
+              1e-8 * dense.total_shrinkage());
+}
+
+// Regression: small Gaussian streams on the Krylov route (ell = 8, so
+// k = 9 and a 26-row basis, with d from 96 to 192) must never fall back
+// to the dense route. That holds only while the solver's happy-breakdown
+// floor sits below FD's 1e-11 tolerance: at 1e-10 ||S q|| a residual
+// between the two is discarded on every restart, and 9 of these 36
+// streams stall for all 200 restarts before falling back.
+TEST(FdShrinkTest, SmallGaussianStreamsNeverFallBack) {
+  const size_t ell = 8;
+  for (size_t d : {96u, 128u, 192u}) {
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      FrequentDirections fd(ell, d);
+      fd.set_shrink_backend(FdShrinkBackend::kLanczos);
+      for (const auto& r : GaussianRows(8 * ell, d, 1000 * d + seed)) {
+        fd.Append(r);
+      }
+      ASSERT_GE(fd.shrink_count(), 4u);
+      EXPECT_EQ(fd.lanczos_fallback_count(), 0u)
+          << "d=" << d << " seed=" << seed;
+    }
+  }
+}
+
+// A NaN row makes the Krylov solve fail at once; the shrink then runs the
+// dense route, which reports unconverged too and is applied as computed.
+// Either way the shrink returns promptly, counts one fallback and never
+// aborts.
+TEST(FdShrinkTest, NaNRowFallsBackOnceAndReturnsPromptly) {
+  const size_t ell = 4, d = 48;  // Krylov route: 2 * 5 + 8 < d
+  FrequentDirections fd(ell, d);
+  fd.set_shrink_backend(FdShrinkBackend::kLanczos);
+  auto rows = GaussianRows(2 * ell, d, 41);
+  rows[3][7] = std::numeric_limits<double>::quiet_NaN();
+  Timer t;
+  for (const auto& r : rows) fd.Append(r);
+  EXPECT_LT(t.Seconds(), 1.0);
+  EXPECT_EQ(fd.shrink_count(), 1u);
+  EXPECT_EQ(fd.lanczos_fallback_count(), 1u);
+  EXPECT_LE(fd.rows(), ell);
+}
+
+// The *_dense_backend CTest entries rerun this suite with
+// DMT_FD_BACKEND=dense; they only test the dense route if the variable
+// really selects it.
+TEST(FdShrinkTest, DefaultBackendFollowsTheEnvironment) {
+  const char* env = std::getenv("DMT_FD_BACKEND");
+  const FdShrinkBackend expect = env != nullptr && std::string(env) == "dense"
+                                     ? FdShrinkBackend::kDense
+                                     : FdShrinkBackend::kLanczos;
+  EXPECT_EQ(FrequentDirections::DefaultShrinkBackend(), expect);
+  EXPECT_EQ(FrequentDirections(4, 8).shrink_backend(), expect);
 }
 
 // Satellite regression: a degenerate spectrum with lambda_ell ==
@@ -336,7 +393,7 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiAtMp1CoordinatorShape) {
 TEST(FdShrinkTest, DegenerateTiedSpectrumProducesNoNaN) {
   const size_t ell = 4, d = 8;
   for (FdShrinkBackend backend :
-       {FdShrinkBackend::kLanczos, FdShrinkBackend::kJacobi}) {
+       {FdShrinkBackend::kLanczos, FdShrinkBackend::kDense}) {
     FrequentDirections fd(ell, d);
     fd.set_shrink_backend(backend);
     // 3 copies of each canonical direction, all with squared norm 4:
@@ -364,9 +421,8 @@ TEST(FdShrinkTest, DegenerateTiedSpectrumProducesNoNaN) {
   }
 }
 
-// Switching backends mid-stream must be safe in both directions: the
-// Jacobi warm-start invariant is invalidated by a Lanczos shrink and
-// rebuilt cold on the next Jacobi one.
+// Switching backends mid-stream must be safe in both directions: a dense
+// shrink leaves the Lanczos warm seed valid for the next Krylov one.
 TEST(FdShrinkTest, BackendSwitchMidStreamKeepsTheBound) {
   const size_t ell = 6, d = 10, n = 600;
   FrequentDirections fd(ell, d);
@@ -374,7 +430,7 @@ TEST(FdShrinkTest, BackendSwitchMidStreamKeepsTheBound) {
   auto rows = GaussianRows(n, d, 77);
   for (size_t i = 0; i < n; ++i) {
     fd.set_shrink_backend((i / 100) % 2 == 0 ? FdShrinkBackend::kLanczos
-                                             : FdShrinkBackend::kJacobi);
+                                             : FdShrinkBackend::kDense);
     a.AppendRow(rows[i]);
     fd.Append(rows[i]);
   }

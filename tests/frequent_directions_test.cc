@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic_matrix.h"
-#include "linalg/jacobi_eigen.h"
 #include "linalg/spectral.h"
+#include "linalg/symmetric_eigen.h"
 #include "linalg/vec_ops.h"
 #include "util/rng.h"
 

@@ -1,13 +1,15 @@
-// Tests for the warm-start in-place Jacobi diagonalization behind the FD
-// reference backend.
+// Tests for the in-place cyclic Jacobi diagonalization that the dense
+// eigensolver and SVD checks use as their independent reference
+// (tests/reference_eigen.h).
 #include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/spectral.h"
+#include "linalg/symmetric_eigen.h"
 #include "linalg/vec_ops.h"
+#include "reference_eigen.h"
 #include "util/rng.h"
 
 namespace dmt {

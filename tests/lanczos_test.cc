@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/kernels.h"
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/spectral.h"
+#include "linalg/symmetric_eigen.h"
 #include "linalg/vec_ops.h"
 #include "util/rng.h"
 
@@ -61,7 +61,7 @@ double EigenspaceAlignment(const EigenDecomposition& ref, double theta,
   return std::sqrt(proj_sq);
 }
 
-void ExpectAgreesWithJacobi(const Matrix& s, size_t k,
+void ExpectAgreesWithDenseSolve(const Matrix& s, size_t k,
                             double vec_cluster_tol) {
   EigenDecomposition ref = SymmetricEigen(s);
   std::vector<double> vals;
@@ -84,7 +84,7 @@ void ExpectAgreesWithJacobi(const Matrix& s, size_t k,
 TEST(LanczosTest, AgreesWithJacobiOnRandomGram) {
   Rng rng(1);
   Matrix a = RandomGaussianMatrix(80, 24, &rng);
-  ExpectAgreesWithJacobi(a.Gram(), 6, 1e-6 * 80);
+  ExpectAgreesWithDenseSolve(a.Gram(), 6, 1e-6 * 80);
 }
 
 TEST(LanczosTest, RepeatedEigenvaluesAreAllFound) {
@@ -94,7 +94,7 @@ TEST(LanczosTest, RepeatedEigenvaluesAreAllFound) {
   std::vector<double> lambda = {5.0, 5.0, 5.0, 2.0, 1.0, 0.5,
                                 0.25, 0.1, 0.05, 0.01};
   Matrix s = SymmetricWithSpectrum(lambda, 7);
-  ExpectAgreesWithJacobi(s, 4, 1e-8);
+  ExpectAgreesWithDenseSolve(s, 4, 1e-8);
 }
 
 TEST(LanczosTest, RepeatedEigenvaluesOnTheKrylovRoute) {
@@ -106,7 +106,7 @@ TEST(LanczosTest, RepeatedEigenvaluesOnTheKrylovRoute) {
     lambda[i] = i < 3 ? 5.0 : 2.0 / static_cast<double>(i);
   }
   Matrix s = SymmetricWithSpectrum(lambda, 17);
-  ExpectAgreesWithJacobi(s, 4, 1e-8);
+  ExpectAgreesWithDenseSolve(s, 4, 1e-8);
 }
 
 TEST(LanczosTest, ZeroMatrixOnTheKrylovRoute) {
@@ -157,7 +157,7 @@ TEST(LanczosTest, ZeroMatrix) {
 TEST(LanczosTest, KEqualsDRecoversFullSpectrum) {
   Rng rng(4);
   Matrix a = RandomGaussianMatrix(30, 9, &rng);
-  ExpectAgreesWithJacobi(a.Gram(), 9, 1e-6 * 30);
+  ExpectAgreesWithDenseSolve(a.Gram(), 9, 1e-6 * 30);
 }
 
 TEST(LanczosTest, KEqualsOneFindsAlgebraicMaxNotMagnitudeMax) {

@@ -1,23 +1,31 @@
 // Edge-case contract of the serving query surface: empty pre-window
 // snapshots, k beyond the tracked count, rank beyond the sketch rank,
 // zero-row FD sketches — all defined results; invalid *arguments* abort
-// (death tests). The snapshot's factorization is pinned against ThinSVD.
+// (death tests). The snapshot's factorization is pinned against an
+// independent reference SVD (tests/reference_eigen.h).
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic_matrix.h"
 #include "hh/p1_batched_mg.h"
-#include "linalg/svd.h"
+#include "linalg/spectral.h"
 #include "linalg/vec_ops.h"
 #include "matrix/mp1_batched_fd.h"
 #include "matrix/mp2_svd_threshold.h"
+#include "reference_eigen.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "sketch/sliding_window_fd.h"
+#include "util/rng.h"
 
 namespace dmt {
 namespace {
@@ -126,15 +134,27 @@ TEST(ServingEdgeTest, WindowedSnapshotMatchesSketchBytes) {
   }
 }
 
+// Tolerance on snapshot sigma_i given the reference singular values.
+using SigmaTolerance =
+    std::function<double(const std::vector<double>& ref_sigma, size_t i)>;
+
+double WithinTenToTheMinusTenSigma1(const std::vector<double>& ref_sigma,
+                                    size_t /*i*/) {
+  return 1e-10 * ref_sigma[0];
+}
+
 // The snapshot's sigma / V must be the sketch's singular structure, not
-// just self-consistent: compare BuildSnapshot against ThinSVD of the very
-// sketch it stores. sigma within 1e-10 sigma_1; V columns equal up to
-// sign wherever sigma^2 is separated from its neighbours; the engine's
-// TopSingularValues and ProjectRow (at separated ranks) agree to the same
-// tolerance. Returns how many V columns were separated enough to check.
-size_t ExpectSnapshotMatchesThinSvd(const serve::Snapshot& snap) {
+// just self-consistent: compare BuildSnapshot against the reference SVD
+// of the very sketch it stores. sigma within `sigma_tol`; V columns equal
+// up to sign wherever sigma^2 is separated from its neighbours; the
+// engine's TopSingularValues agrees to `sigma_tol` and ProjectRow (at
+// separated ranks) to 1e-10. Returns how many V columns were separated
+// enough to check.
+size_t ExpectSnapshotMatchesReferenceSvd(
+    const serve::Snapshot& snap,
+    const SigmaTolerance& sigma_tol = WithinTenToTheMinusTenSigma1) {
   const linalg::Matrix& b = snap.sketch;
-  const linalg::SvdResult ref = linalg::ThinSVD(b);
+  const linalg::ReferenceSvdResult ref = linalg::ReferenceSvd(b);
   const size_t r = ref.sigma.size();
   const size_t d = b.cols();
   EXPECT_EQ(snap.sigma.size(), r);
@@ -142,9 +162,9 @@ size_t ExpectSnapshotMatchesThinSvd(const serve::Snapshot& snap) {
   EXPECT_EQ(snap.right_vectors.cols(), r);
   if (snap.sigma.size() != r || snap.right_vectors.cols() != r) return 0;
   const double s1 = ref.sigma[0];
-  const double tol = 1e-10 * s1;
   for (size_t i = 0; i < r; ++i) {
-    EXPECT_NEAR(snap.sigma[i], ref.sigma[i], tol) << "sigma " << i;
+    EXPECT_NEAR(snap.sigma[i], ref.sigma[i], sigma_tol(ref.sigma, i))
+        << "sigma " << i;
   }
 
   // sigma^2 gap of column i to its neighbours, relative to sigma_1^2.
@@ -176,7 +196,7 @@ size_t ExpectSnapshotMatchesThinSvd(const serve::Snapshot& snap) {
   const std::vector<double> top = engine.TopSingularValues(r);
   EXPECT_EQ(top.size(), r);
   for (size_t i = 0; i < top.size(); ++i) {
-    EXPECT_NEAR(top[i], ref.sigma[i], tol);
+    EXPECT_NEAR(top[i], ref.sigma[i], sigma_tol(ref.sigma, i));
   }
   std::vector<double> x(d);
   for (size_t k = 0; k < d; ++k) x[k] = 1.0 / static_cast<double>(k + 1);
@@ -202,8 +222,9 @@ size_t ExpectSnapshotMatchesThinSvd(const serve::Snapshot& snap) {
 TEST(ServingEdgeTest, SnapshotFactorizationMatchesThinSvd) {
   // PAMAP-like rows (d = 44) through both matrix protocols: MP2's
   // coordinator sketch has one row per positive eigenvalue of its Gram
-  // (rows >= cols: the Gram route), MP1's FD sketch at most 2 ell rows
-  // (rows < cols: the short-side ThinSVD route).
+  // (rows >= cols), MP1's FD sketch at most 2 ell rows (rows < cols, so
+  // its Gram has rank < d and the snapshot keeps the leading `rows`
+  // pairs).
   data::SyntheticMatrixGenerator gen(
       data::SyntheticMatrixGenerator::PamapLike(5));
   matrix::MP2SvdThreshold mp2(4, 0.1);
@@ -219,13 +240,80 @@ TEST(ServingEdgeTest, SnapshotFactorizationMatchesThinSvd) {
   std::unique_ptr<const serve::Snapshot> mp2_snap =
       serve::BuildSnapshot(mp2, 1, 3000);
   ASSERT_GE(mp2_snap->sketch.rows(), mp2_snap->sketch.cols());
-  EXPECT_GE(ExpectSnapshotMatchesThinSvd(*mp2_snap), 3u);
+  EXPECT_GE(ExpectSnapshotMatchesReferenceSvd(*mp2_snap), 3u);
 
   std::unique_ptr<const serve::Snapshot> mp1_snap =
       serve::BuildSnapshot(mp1, 1, 3000);
   ASSERT_GT(mp1_snap->sketch.rows(), 0u);
   ASSERT_LT(mp1_snap->sketch.rows(), mp1_snap->sketch.cols());
-  EXPECT_GE(ExpectSnapshotMatchesThinSvd(*mp1_snap), 3u);
+  EXPECT_GE(ExpectSnapshotMatchesReferenceSvd(*mp1_snap), 3u);
+}
+
+// A protocol whose coordinator sketch is a fixed matrix, so a snapshot can
+// be built from any sketch.
+class FixedSketchProtocol : public matrix::MatrixTrackingProtocol {
+ public:
+  explicit FixedSketchProtocol(linalg::Matrix sketch)
+      : sketch_(std::move(sketch)) {}
+  void ProcessRow(size_t, const std::vector<double>&) override {}
+  linalg::Matrix CoordinatorSketch() const override { return sketch_; }
+  const stream::CommStats& comm_stats() const override { return stats_; }
+  std::vector<uint64_t> per_site_messages() const override { return {}; }
+  std::string name() const override { return "fixed"; }
+
+ private:
+  linalg::Matrix sketch_;
+  stream::CommStats stats_;
+};
+
+// The Gram route's stated accuracy (linalg/svd.h): sigma_i^2 to about
+// d eps sigma_1^2, so sigma_i to that over sigma_i, on a graded MP1-shaped
+// sketch (30 x 44, sigma from 1 down to 1e-8 geometrically). There the
+// smallest sigma_i are far outside 1e-10 sigma_1, while V and ProjectRow
+// at separated ranks still hold to 1e-10.
+TEST(ServingEdgeTest, GradedSketchFactorizationMeetsTheGramRouteBound) {
+  const size_t n = 30, d = 44;
+  Rng rng(31);
+  const linalg::Matrix u = linalg::RandomOrthogonalMatrix(n, &rng);
+  const linalg::Matrix v = linalg::RandomOrthogonalMatrix(d, &rng);
+  linalg::Matrix b(n, d);
+  for (size_t t = 0; t < n; ++t) {
+    const double sigma =
+        std::pow(10.0, -8.0 * static_cast<double>(t) /
+                           static_cast<double>(n - 1));
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < d; ++j) b(i, j) += u(i, t) * sigma * v(j, t);
+    }
+  }
+  FixedSketchProtocol protocol(b);
+  std::unique_ptr<const serve::Snapshot> snap =
+      serve::BuildSnapshot(protocol, 1, n);
+
+  const linalg::ReferenceSvdResult ref = linalg::ReferenceSvd(b);
+  ASSERT_EQ(snap->sigma.size(), n);
+  const double s1 = ref.sigma[0];
+  EXPECT_LT(ref.sigma[n - 1], 2e-8 * s1);
+  // The bound under test, plus the reference's own error: cyclic Jacobi
+  // on the (n + d)-square Jordan-Wielandt matrix gets sigma_i to a few
+  // (n + d) eps sigma_1, which moves its sigma_i^2 by twice that times
+  // sigma_i (negligible below the leading values).
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double gram_bound = static_cast<double>(d) * eps * s1 * s1;
+  const double ref_sigma_err = static_cast<double>(n + d) * eps * s1;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(snap->sigma[i] * snap->sigma[i],
+                ref.sigma[i] * ref.sigma[i],
+                gram_bound + 2.0 * ref.sigma[i] * ref_sigma_err)
+        << "sigma^2 " << i;
+  }
+  // |sigma - sigma'| = |sigma^2 - sigma'^2| / (sigma + sigma').
+  const SigmaTolerance from_sigma_sq_bound =
+      [gram_bound, ref_sigma_err](const std::vector<double>& ref_sigma,
+                                  size_t i) {
+        return gram_bound / ref_sigma[i] + 2.0 * ref_sigma_err;
+      };
+  EXPECT_GE(ExpectSnapshotMatchesReferenceSvd(*snap, from_sigma_sq_bound),
+            3u);
 }
 
 TEST(ServingEdgeDeathTest, InvalidArgumentsDie) {

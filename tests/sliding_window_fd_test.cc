@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/spectral.h"
+#include "linalg/symmetric_eigen.h"
 #include "serve/snapshot.h"
 #include "util/rng.h"
 

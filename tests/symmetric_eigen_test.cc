@@ -1,4 +1,4 @@
-#include "linalg/jacobi_eigen.h"
+#include "linalg/symmetric_eigen.h"
 
 #include <cmath>
 
