@@ -264,12 +264,13 @@ LanczosInfo LanczosSolver::KrylovTopK(size_t d, size_t k,
     }
 
     // ---- Rayleigh-Ritz on the j-row basis: T = Q S Q^T (j x j, upper
-    // triangle only — all the dense solver reads). Afterwards theta_ is
-    // descending and row i of t_ holds the basis coefficients of Ritz
-    // vector i.
+    // triangle only — all the dense solver reads). Row a of the triangle
+    // is sq_ rows a..j-1 dotted with q_a (products commute exactly).
+    // Afterwards theta_ is descending and row i of t_ holds the basis
+    // coefficients of Ritz vector i.
     EnsureRitzWorkspace(j);
     for (size_t a = 0; a < j; ++a) {
-      for (size_t b = a; b < j; ++b) t_(a, b) = Dot(q_.Row(a), sq_.Row(b), d);
+      DotRows(sq_.Row(a), j - a, d, q_.Row(a), t_.Row(a) + a);
     }
     const bool ritz_ok = SymmetricEigenInPlace(t_.Row(0), j, theta_.data(),
                                                eig_scratch_.data());
@@ -348,7 +349,7 @@ LanczosInfo LanczosSolver::TopKOfGram(const Matrix& gram, size_t k,
   return KrylovTopK(
       d, k,
       [&gram, d](const double* x, double* y) {
-        for (size_t i = 0; i < d; ++i) y[i] = Dot(gram.Row(i), x, d);
+        DotRows(gram.Row(0), d, d, x, y);
       },
       eigenvalues, eigenvectors, opts);
 }
@@ -384,7 +385,7 @@ LanczosInfo LanczosSolver::TopKOfRows(const Matrix& rows, size_t k,
   return KrylovTopK(
       d, k,
       [this, &rows, n, d](const double* x, double* y) {
-        for (size_t i = 0; i < n; ++i) rowmv_[i] = Dot(rows.Row(i), x, d);
+        DotRows(rows.Row(0), n, d, x, rowmv_.data());
         std::fill(y, y + d, 0.0);
         for (size_t i = 0; i < n; ++i) Axpy(rowmv_[i], rows.Row(i), y, d);
       },

@@ -138,9 +138,10 @@ class LanczosSolver {
                    const LanczosOptions& opts = LanczosOptions());
 
   /// TopK on an explicit symmetric matrix. The Krylov route iterates on
-  /// row-dot matvecs; the dense route factors a transposed copy of
-  /// `gram` — value for value the S that d unit-vector matvecs would
-  /// form, so TopK with the same row-dot operator returns the same pairs.
+  /// row-dot matvecs (DotRows: every y[i] bit for bit Dot(gram row i, x),
+  /// so TopK with a per-row Dot operator returns the same pairs); the
+  /// dense route factors a transposed copy of `gram` — value for value
+  /// the S that d unit-vector matvecs would form, so the same holds there.
   LanczosInfo TopKOfGram(const Matrix& gram, size_t k,
                          std::vector<double>* eigenvalues,
                          Matrix* eigenvectors,

@@ -16,6 +16,13 @@ namespace linalg {
 double Dot(const double* a, const double* b, size_t n);
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
 
+/// y[i] = Dot(a + i*d, x, d) for the n rows of the row-major n x d array
+/// `a`, bit for bit: each row keeps Dot's summation order, but four rows
+/// share one pass over x so their running sums overlap. `y` must not
+/// alias `a` or `x`.
+void DotRows(const double* a, size_t n, size_t d, const double* x,
+             double* y);
+
 /// Squared Euclidean norm.
 double SquaredNorm(const double* a, size_t n);
 double SquaredNorm(const std::vector<double>& a);

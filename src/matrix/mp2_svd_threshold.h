@@ -18,9 +18,13 @@
 // eigenvalue by at most ‖a‖², no direction can cross the threshold until
 // trace(G_j) does — and after a threshold check that ships nothing, not
 // until the trace grows by another (threshold − bound) where `bound` is a
-// certified upper bound on the remaining λ_max. This makes the per-row
-// cost O(d²) amortized while sending *exactly* the same messages as the
-// paper's per-row svd formulation.
+// certified upper bound on the remaining λ_max. A site therefore needs
+// G_j only at a check: it copies each row into a fixed 64-row stage
+// (O(d) per row) and folds the stage into G_j with one blocked Gram pass
+// when it fills and at the start of every check, while trace(G_j) still
+// grows per row, so checks fire at the same rows. The blocked fold
+// re-rounds G_j against per-row rank-1 updates, but the messages are
+// *exactly* those of the paper's per-row svd formulation.
 //
 // A threshold check only needs the eigenvalues at or above the threshold,
 // so it runs on the partial Lanczos solver (linalg/lanczos.h): solve the
@@ -113,14 +117,16 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
   size_t dim() const { return dim_; }
 
  private:
-  // Each site keeps the Gram of its unsent rows in original coordinates;
-  // appending a row is one symmetric rank-1 update and a threshold check
-  // is a warm-seeded partial Lanczos solve (certified through the trace,
-  // see the header comment). The messages produced are identical to
+  // Each site keeps the Gram of its unsent rows in original coordinates,
+  // with the newest rows staged until the next fold (see the header
+  // comment); a threshold check is a warm-seeded partial Lanczos solve
+  // certified through the trace. The messages produced are identical to
   // decomposing from scratch.
   struct SiteState {
-    linalg::Matrix gram;        // B_j^T B_j
-    double trace = 0.0;         // trace(gram) maintained incrementally
+    linalg::Matrix gram;        // B_j^T B_j, minus the staged rows
+    linalg::Matrix stage;       // kStageRows x d; rows since the last fold
+    size_t staged = 0;          // occupied rows of `stage`
+    double trace = 0.0;         // trace(B_j^T B_j), staged rows included
     double next_check = 0.0;    // no threshold check before this trace
     double scalar_counter = 0.0;// F_j for total-mass reports
     double fest = 0.0;          // F-hat as known by the site
@@ -149,6 +155,8 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
                     std::vector<PendingMsg>* sink);
   void EmitDirection(size_t site, double lam, const std::vector<double>& v,
                      std::vector<PendingMsg>* sink);
+  // Folds a site's staged rows into its Gram (one GramAccumulate).
+  static void FoldStagedRows(SiteState* st);
   void MaybeSendDirections(size_t site, std::vector<PendingMsg>* sink);
 
   double eps_;

@@ -1,6 +1,7 @@
 #include "net/remote.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "net/messages.h"
@@ -88,6 +89,12 @@ bool MP2Wire::ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
       *error = "mp2: malformed scalar payload";
       return false;
     }
+    // An honest site reports only a positive, finite mass; anything else
+    // would poison F-hat and, through it, every site's thresholds.
+    if (!std::isfinite(m.value) || m.value <= 0.0) {
+      *error = "mp2: non-finite or non-positive scalar amount";
+      return false;
+    }
     protocol_->DeliverMessage(
         site, matrix::MP2SvdThreshold::PendingMsg{true, m.value, {}});
     return true;
@@ -104,6 +111,18 @@ bool MP2Wire::ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
         (protocol_->dim() != 0 && m.dir.size() != protocol_->dim())) {
       *error = "mp2: direction dimension mismatch";
       return false;
+    }
+    // Shipped directions carry lambda > 0 and finite entries; a NaN or
+    // Inf would spread through the coordinator Gram on delivery.
+    if (!std::isfinite(m.lambda) || m.lambda <= 0.0) {
+      *error = "mp2: non-finite or non-positive direction lambda";
+      return false;
+    }
+    for (double x : m.dir) {
+      if (!std::isfinite(x)) {
+        *error = "mp2: non-finite direction entry";
+        return false;
+      }
     }
     protocol_->DeliverMessage(
         site, matrix::MP2SvdThreshold::PendingMsg{false, m.lambda,
@@ -172,6 +191,13 @@ bool RunWireSite(WireAdapter* adapter, size_t site,
         !DecodeBroadcast(payload.data(), payload.size(), &b) ||
         b.window != w) {
       *error = "site: expected broadcast for window " + std::to_string(w);
+      return false;
+    }
+    // Broadcast values are total masses: 0 before the first broadcast,
+    // finite and positive after. A NaN would silence this site for good.
+    if (!std::isfinite(b.value) || b.value < 0.0) {
+      *error = "site: non-finite or negative broadcast value for window " +
+               std::to_string(w);
       return false;
     }
     adapter->ApplyBroadcast(site, b.value);
@@ -264,10 +290,6 @@ bool RunWireCoordinator(WireAdapter* adapter,
       }
     }
 
-    // Post-drain, pre-broadcast: the coordinator protocol is between
-    // rounds — the snapshot-export window the serving layer publishes in.
-    if (on_window) on_window(w + 1);
-
     BroadcastMsg b;
     b.window = w;
     b.value = adapter->BroadcastValue();
@@ -280,6 +302,12 @@ bool RunWireCoordinator(WireAdapter* adapter,
         return false;
       }
     }
+
+    // Post-broadcast: the coordinator protocol stays in its between-rounds
+    // state until the next window's frames are applied, and those are read
+    // only after this returns — so the snapshot export sees exactly the
+    // drained state while the sites already run their next window.
+    if (on_window) on_window(w + 1);
   }
 
   for (size_t s = 0; s < m; ++s) {

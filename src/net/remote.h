@@ -11,7 +11,13 @@
 //                  coordinator's kBroadcast.
 //   coordinator:   drain sites in ascending order (each until kWindowEnd),
 //                  delivering every message to its protocol instance ->
-//                  push the current broadcast value to every site.
+//                  push the current broadcast value to every site ->
+//                  run the on_window hook (e.g. a snapshot publish).
+//
+// The hook runs after the push, so the sites start their next window
+// while the coordinator publishes; the coordinator's protocol state does
+// not change until it reads that window's frames, which happens only
+// after the hook returns.
 //
 // That is message-for-message the oracle's schedule — site phase, ordered
 // drain, broadcast visibility only at the window boundary — and payloads
@@ -61,8 +67,10 @@ class WireAdapter {
   virtual void ApplyBroadcast(size_t site, double value) = 0;
 
   /// Coordinator half: decodes one received frame from `site` and delivers
-  /// it to the protocol instance. False (with `*error`) on a malformed or
-  /// out-of-vocabulary payload — wire input is untrusted.
+  /// it to the protocol instance. False (with `*error`), before anything
+  /// is applied, on a malformed or out-of-vocabulary payload or a value no
+  /// honest site sends (e.g. a non-finite or non-positive mass) — wire
+  /// input is untrusted.
   virtual bool ApplyFrame(size_t site, MsgType type, const uint8_t* payload,
                           size_t n, std::string* error) = 0;
   /// Coordinator half: the broadcast value to push after a window drain.
@@ -118,7 +126,8 @@ std::vector<std::vector<uint32_t>> SiteWindowIndices(
 /// Runs one site's half of the protocol over `conn`: handshake, then per
 /// window apply this site's arrivals via `update` (called with the stream
 /// index), batch-send the outbox, and absorb the broadcast. Returns false
-/// with `*error` on any channel or protocol-framing failure.
+/// with `*error` on any channel or protocol-framing failure, and on a
+/// non-finite or negative broadcast value (which is never installed).
 bool RunWireSite(WireAdapter* adapter, size_t site,
                  const std::vector<std::vector<uint32_t>>& windows,
                  const std::function<void(uint32_t)>& update,
@@ -149,11 +158,13 @@ struct WireCoordinatorReport {
 /// kSiteDone / kShutdown teardown. Returns false with `*error` on any
 /// channel failure, malformed frame, or handshake mismatch.
 ///
-/// `on_window`, when non-empty, runs after each window's drain completes
-/// (1-based count of drained windows), before the broadcast push — the
-/// protocol instance is in its between-rounds state, so the callback may
-/// export snapshots (serve::ServingCoordinator publishes from here).
-/// Observer plane only: it must not mutate the protocol.
+/// `on_window`, when non-empty, runs once per window (1-based count of
+/// drained windows) after that window's drain and broadcast push, and
+/// before the next window's first frame is read — the protocol instance
+/// is still in the drained, between-rounds state, so the callback may
+/// export snapshots (serve::ServingCoordinator publishes from here) while
+/// the sites already work on the next window. Observer plane only: it
+/// must not mutate the protocol.
 bool RunWireCoordinator(WireAdapter* adapter,
                         std::vector<std::unique_ptr<Connection>>* channels,
                         size_t num_windows, WireCoordinatorReport* report,

@@ -4,6 +4,7 @@
 // matrices, warm seeds, and determinism. Small shapes (m = d) exercise
 // the dense route; the *OnTheKrylovRoute cases keep m < d.
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -241,6 +242,48 @@ TEST(LanczosTest, RowsAndGramRoutesAgree) {
     EXPECT_EQ(vr[i], vg[i]) << "i=" << i;
     for (size_t j = 0; j < 40; ++j) EXPECT_EQ(wr(i, j), wg(i, j));
   }
+}
+
+// On the Krylov route (d = 44, k = 4: a 16-row basis) TopKOfGram's
+// operator runs DotRows; every pass of it must be the per-row Dot matvec
+// a caller would write, so the whole solve — values, vectors, residual
+// bound, matvec and restart counts — comes out bit-identical.
+TEST(LanczosTest, KrylovRouteOfGramMatchesPerRowDotOperator) {
+  const size_t d = 44;
+  Rng rng(31);
+  const Matrix a = RandomGaussianMatrix(60, d, &rng);
+  const Matrix s = a.Gram();
+  ASSERT_FALSE(LanczosSolver::UsesDenseRoute(d, 4));
+
+  LanczosSolver by_rows;
+  std::vector<double> op_vals;
+  Matrix op_vecs;
+  const LanczosInfo op = by_rows.TopK(
+      d, 4,
+      [&s, d](const double* x, double* y) {
+        for (size_t i = 0; i < d; ++i) y[i] = Dot(s.Row(i), x, d);
+      },
+      &op_vals, &op_vecs);
+  LanczosSolver by_gram;
+  std::vector<double> vals;
+  Matrix vecs;
+  const LanczosInfo gram = by_gram.TopKOfGram(s, 4, &vals, &vecs);
+
+  ASSERT_TRUE(gram.converged);
+  EXPECT_EQ(op.converged, gram.converged);
+  EXPECT_GT(gram.matvecs, 0u);
+  EXPECT_EQ(op.matvecs, gram.matvecs);
+  EXPECT_EQ(op.restarts, gram.restarts);
+  EXPECT_EQ(std::memcmp(&op.residual_bound, &gram.residual_bound,
+                        sizeof(double)),
+            0);
+  ASSERT_EQ(op_vals.size(), 4u);
+  ASSERT_EQ(vals.size(), 4u);
+  EXPECT_EQ(std::memcmp(op_vals.data(), vals.data(), 4 * sizeof(double)), 0);
+  ASSERT_EQ(op_vecs.rows(), 4u);
+  ASSERT_EQ(vecs.rows(), 4u);
+  EXPECT_EQ(
+      std::memcmp(op_vecs.Row(0), vecs.Row(0), 4 * d * sizeof(double)), 0);
 }
 
 TEST(LanczosTest, DeterministicAcrossCalls) {

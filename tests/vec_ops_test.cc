@@ -1,6 +1,7 @@
 #include "linalg/vec_ops.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,35 @@ TEST(VecOpsTest, DotBasic) {
 TEST(VecOpsTest, DotEmpty) {
   std::vector<double> a, b;
   EXPECT_DOUBLE_EQ(Dot(a, b), 0.0);
+}
+
+// DotRows is Dot row by row, bit for bit: through the four-row blocks
+// and the tail rows, on entries spread over 40 binades so that any
+// change in summation order would show in the last bits.
+TEST(VecOpsTest, DotRowsMatchesDotBitForBit) {
+  for (size_t n : {0, 1, 3, 4, 5, 9, 44}) {
+    for (size_t d : {0, 1, 7, 44}) {
+      std::vector<double> a(n * d + 1), x(d + 1);
+      for (size_t t = 0; t < a.size(); ++t) {
+        a[t] = std::ldexp(std::sin(0.7 * static_cast<double>(t) + 0.1),
+                          static_cast<int>((t * 7) % 41) - 20);
+      }
+      for (size_t t = 0; t < x.size(); ++t) {
+        x[t] = std::ldexp(std::cos(1.3 * static_cast<double>(t)),
+                          static_cast<int>((t * 11) % 37) - 18);
+      }
+      const double sentinel = -12345.0;
+      std::vector<double> y(n + 1, sentinel);
+      DotRows(a.data(), n, d, x.data(), y.data());
+      for (size_t i = 0; i < n; ++i) {
+        const double ref = Dot(a.data() + i * d, x.data(), d);
+        EXPECT_EQ(std::memcmp(&y[i], &ref, sizeof(double)), 0)
+            << "n=" << n << " d=" << d << " row " << i << ": " << y[i]
+            << " vs " << ref;
+      }
+      EXPECT_EQ(y[n], sentinel) << "n=" << n << " d=" << d;
+    }
+  }
 }
 
 TEST(VecOpsTest, SquaredNormMatchesDotWithSelf) {
