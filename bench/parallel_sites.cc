@@ -18,8 +18,7 @@
 //    where the old one-task-per-site driver drowned (m pool round-trips
 //    and O(m) drain scans per window). Each point records the driver's
 //    SchedulerStats counters — windows, non-empty lane ranges
-//    (batches_reserved), mean sites per range, targeted drains vs
-//    full-scan drain stalls.
+//    (batches_reserved) and mean sites per range.
 //
 // Every run records both the requested and the effective thread count
 // (ResolveThreadCount clamps at 4x the hardware threads); on a
@@ -96,13 +95,10 @@ RunPoint TimeRun(MakeProtocol make, const std::vector<size_t>& sites,
 void PrintSched(FILE* f, const stream::SchedulerStats& s) {
   std::fprintf(f,
                "\"windows\": %llu, \"batches_reserved\": %llu, "
-               "\"mean_sites_per_batch\": %.1f, \"targeted_drains\": %llu, "
-               "\"drain_stalls\": %llu",
+               "\"mean_sites_per_batch\": %.1f",
                static_cast<unsigned long long>(s.windows),
                static_cast<unsigned long long>(s.batches_reserved),
-               s.mean_sites_per_batch(),
-               static_cast<unsigned long long>(s.targeted_drains),
-               static_cast<unsigned long long>(s.drain_stalls));
+               s.mean_sites_per_batch());
 }
 
 void PrintWorkload(FILE* f, const char* name, size_t n, size_t m,

@@ -6,12 +6,6 @@ namespace hh {
 ExactTracker::ExactTracker(size_t num_sites)
     : network_(num_sites), outbox_(num_sites) {}
 
-void ExactTracker::Process(size_t site, uint64_t element, double weight) {
-  network_.RecordElement(site);
-  weights_[element] += weight;
-  total_ += weight;
-}
-
 void ExactTracker::SiteUpdate(size_t site, uint64_t element, double weight) {
   network_.RecordElement(site);
   outbox_[site].emplace_back(element, weight);
@@ -23,14 +17,6 @@ void ExactTracker::DrainSite(size_t site) {
     total_ += weight;
   }
   outbox_[site].clear();
-}
-
-void ExactTracker::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void ExactTracker::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 double ExactTracker::EstimateElementWeight(uint64_t element) const {

@@ -23,15 +23,10 @@ class ExactTracker : public HeavyHitterProtocol {
  public:
   explicit ExactTracker(size_t num_sites);
 
-  void Process(size_t site, uint64_t element, double weight) override;
   void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
   const stream::CommStats& comm_stats() const override;
@@ -43,7 +38,7 @@ class ExactTracker : public HeavyHitterProtocol {
 
  private:
   /// Delivers one site's queued forwards in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
 
   stream::Network network_;
   // Per-site queue of forwarded (element, weight) pairs.

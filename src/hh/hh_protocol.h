@@ -42,46 +42,33 @@ class HeavyHitterProtocol {
 
   /// Processes one stream element arriving at `site`. `weight` > 0.
   /// Serial entry point: any triggered site->coordinator messages are
-  /// delivered (and broadcasts applied) before this returns.
-  virtual void Process(size_t site, uint64_t element, double weight) = 0;
-
-  /// Site-local half of Process(): updates only state owned by `site`
-  /// (including that site's network shard) and queues outgoing messages in
-  /// a per-site outbox for the next Synchronize(). When
-  /// SupportsConcurrentSiteUpdates() is true, calls for *distinct* sites
-  /// may run concurrently between two Synchronize() calls; calls for the
-  /// same site must stay on one thread. Default: serial Process()
-  /// (correct, but not concurrency-safe).
-  virtual void SiteUpdate(size_t site, uint64_t element, double weight) {
-    Process(site, element, weight);
+  /// delivered (and broadcasts applied) before this returns. Default:
+  /// SiteUpdate() then DrainSite(site), since only this site can have
+  /// queued anything.
+  virtual void Process(size_t site, uint64_t element, double weight) {
+    SiteUpdate(site, element, weight);
+    DrainSite(site);
   }
 
-  /// Coordinator half: drains every site's outbox in ascending site order
-  /// (emission order within a site), applying merges and broadcasts. Must
-  /// run on a single thread with no concurrent SiteUpdate — the simulation
-  /// driver calls it at round boundaries. Default: no-op (matches the
-  /// default SiteUpdate, which delivers immediately).
-  virtual void Synchronize() {}
+  /// Site half: updates only state owned by `site` (including that site's
+  /// network shard) and queues outgoing messages in a per-site outbox for
+  /// the next drain. When SupportsConcurrentSiteUpdates() is true, calls
+  /// for *distinct* sites may run concurrently between two drains; calls
+  /// for the same site must stay on one thread.
+  virtual void SiteUpdate(size_t site, uint64_t element, double weight) = 0;
 
-  /// Targeted coordinator half: drains exactly the listed sites' outboxes,
-  /// in the given order. The driver passes the ascending-sorted set of
-  /// sites whose outboxes are non-empty (collected from the workers'
-  /// per-lane publication buffers), so this applies the exact total order
-  /// of Synchronize() — ascending site, emission order within a site —
-  /// without the O(num_sites) scan. Equivalence requires every unlisted
-  /// site's outbox to be empty. Same threading contract as Synchronize().
-  /// Default: full Synchronize() scan (always correct).
+  /// Coordinator half: drains exactly the listed sites' outboxes, in the
+  /// given order, applying merges and broadcasts. The driver passes the
+  /// ascending set of sites whose outboxes are non-empty (collected from
+  /// its lanes' pending buffers), so the total order is ascending site,
+  /// emission order within a site, and idle sites are never touched.
+  /// Every unlisted site's outbox must be empty. Must run on a single
+  /// thread with no concurrent SiteUpdate; the simulation driver calls it
+  /// at window boundaries. Default: DrainSite() for each listed site, in
+  /// order.
   virtual void SynchronizeSites(const uint32_t* sites, size_t count) {
-    (void)sites;
-    (void)count;
-    Synchronize();
+    for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
   }
-
-  /// True when SynchronizeSites() implements a real targeted drain. The
-  /// driver then skips the full scan; otherwise every window costs one
-  /// all-sites Synchronize() (counted as a drain stall in
-  /// stream::SchedulerStats).
-  virtual bool SupportsTargetedDrain() const { return false; }
 
   /// Messages queued in `site`'s outbox awaiting the next drain. Workers
   /// call this right after the site's last SiteUpdate of a window to
@@ -94,8 +81,14 @@ class HeavyHitterProtocol {
   }
 
   /// True when SiteUpdate() touches only per-site state and may therefore
-  /// run concurrently for distinct sites.
-  virtual bool SupportsConcurrentSiteUpdates() const { return false; }
+  /// run concurrently for distinct sites. Default: true.
+  virtual bool SupportsConcurrentSiteUpdates() const { return true; }
+
+  /// The library never calls these two. They stay virtual only because
+  /// pipebench's forwarding proxies (pipebench/layers.h) override them:
+  /// Synchronize() does nothing and SupportsTargetedDrain() is true.
+  virtual void Synchronize() {}
+  virtual bool SupportsTargetedDrain() const { return true; }
 
   /// Coordinator's current estimate of element's total weight; within
   /// ε·W of the truth per the class contract. Returns 0 for untracked
@@ -133,6 +126,12 @@ class HeavyHitterProtocol {
   /// Default: sorted+deduplicated TrackedElements() with
   /// EstimateElementWeight() per element.
   virtual std::vector<HHSnapshotEntry> ExportSnapshotEntries() const;
+
+ protected:
+  /// Coordinator half for one site: delivers `site`'s queued messages in
+  /// emission order. Same threading contract as SynchronizeSites().
+  /// Default: no-op, for a protocol that never queues anything.
+  virtual void DrainSite(size_t site) { (void)site; }
 };
 
 inline std::vector<HHSnapshotEntry> HeavyHitterProtocol::ExportSnapshotEntries()

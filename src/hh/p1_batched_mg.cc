@@ -23,11 +23,6 @@ P1BatchedMG::P1BatchedMG(size_t num_sites, double eps)
   outbox_.resize(num_sites);
 }
 
-void P1BatchedMG::Process(size_t site, uint64_t element, double weight) {
-  SiteUpdate(site, element, weight);
-  DrainSite(site);  // only this site can have queued anything
-}
-
 void P1BatchedMG::SiteUpdate(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_summaries_.size());
   DMT_CHECK_GT(weight, 0.0);
@@ -36,7 +31,7 @@ void P1BatchedMG::SiteUpdate(size_t site, uint64_t element, double weight) {
 
   const double m = static_cast<double>(network_.num_sites());
   // site_west_ is the W-hat from the last broadcast the site has seen; it
-  // only changes in Synchronize(), so this read is round-stable.
+  // only changes in a drain, so this read is round-stable.
   const double tau = (eps_ / (2.0 * m)) * site_west_[site];
   // Before the first broadcast tau is 0 and every item triggers a flush;
   // this is the bootstrap the paper leaves implicit.
@@ -76,14 +71,6 @@ void P1BatchedMG::ApplyFlush(const PendingFlush& flush) {
 void P1BatchedMG::DrainSite(size_t site) {
   for (const PendingFlush& flush : outbox_[site]) ApplyFlush(flush);
   outbox_[site].clear();
-}
-
-void P1BatchedMG::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P1BatchedMG::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 std::vector<P1BatchedMG::PendingFlush> P1BatchedMG::TakePendingFlushes(

@@ -30,15 +30,10 @@ class P1BatchedMG : public HeavyHitterProtocol {
   /// `num_sites` = m, `eps` = target additive error fraction.
   P1BatchedMG(size_t num_sites, double eps);
 
-  void Process(size_t site, uint64_t element, double weight) override;
   void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
   const stream::CommStats& comm_stats() const override;
@@ -63,7 +58,7 @@ class P1BatchedMG : public HeavyHitterProtocol {
   /// Site half: moves out this site's queued flushes, in emission order.
   std::vector<PendingFlush> TakePendingFlushes(size_t site);
   /// Coordinator half: records the message cost for `site` and applies one
-  /// flush — the remote-delivery equivalent of Synchronize()'s drain.
+  /// flush — the remote-delivery equivalent of DrainSite().
   void DeliverFlush(size_t site, const PendingFlush& flush);
   /// Last broadcast W-hat (what the coordinator pushes down to sites).
   double broadcast_weight() const { return broadcast_weight_; }
@@ -76,7 +71,7 @@ class P1BatchedMG : public HeavyHitterProtocol {
   // Site half of a flush (messages + outbox + site reset).
   void EmitFlush(size_t site);
   // Delivers one site's queued flushes in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
   // Coordinator half (merge + W_C + possible W-hat broadcast).
   void ApplyFlush(const PendingFlush& flush);
 

@@ -24,14 +24,6 @@ P2Threshold::P2Threshold(size_t num_sites, double eps,
   }
 }
 
-void P2Threshold::Process(size_t site, uint64_t element, double weight) {
-  // Both thresholds below compare against the same pre-report W-hat, so
-  // deferring coordinator delivery to the end of the element is exactly
-  // the historical immediate-delivery behavior.
-  SiteUpdate(site, element, weight);
-  DrainSite(site);  // only this site can have queued anything
-}
-
 void P2Threshold::SiteUpdate(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_weight_.size());
   DMT_CHECK_GT(weight, 0.0);
@@ -41,16 +33,21 @@ void P2Threshold::SiteUpdate(size_t site, uint64_t element, double weight) {
   double delta;
   if (options_.site_counters > 0) {
     // Bounded-space site: the pending delta is the summary's estimate
-    // minus what has already been reported for this element.
+    // minus what has already been reported for this element. A lookup,
+    // not operator[]: only reported elements may own an entry.
     site_summary_[site].Update(element, weight);
+    const auto& reported = site_reported_[site];
+    const auto it = reported.find(element);
     delta = site_summary_[site].Estimate(element) -
-            site_reported_[site][element];
+            (it == reported.end() ? 0.0 : it->second);
   } else {
     delta = (site_delta_[site][element] += weight);
   }
 
-  // site_west_ only changes at Synchronize(), so the threshold is stable
-  // for the whole round.
+  // site_west_ only changes in a drain, so the threshold is stable for
+  // the whole round. Both reports below compare against the same
+  // pre-report W-hat, so the serial Process() (this, then DrainSite) is
+  // exactly the historical immediate-delivery behavior.
   const double threshold = (eps_ / m) * site_west_[site];
 
   // Scalar (total-weight) report. With W-hat == 0 (bootstrap) the
@@ -96,14 +93,6 @@ void P2Threshold::DrainSite(size_t site) {
     }
   }
   outbox_[site].clear();
-}
-
-void P2Threshold::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P2Threshold::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 double P2Threshold::EstimateElementWeight(uint64_t element) const {

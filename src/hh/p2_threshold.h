@@ -41,15 +41,10 @@ class P2Threshold : public HeavyHitterProtocol {
  public:
   P2Threshold(size_t num_sites, double eps, const P2Options& options = {});
 
-  void Process(size_t site, uint64_t element, double weight) override;
   void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
   const stream::CommStats& comm_stats() const override;
@@ -58,6 +53,12 @@ class P2Threshold : public HeavyHitterProtocol {
   }
   std::string name() const override { return "P2"; }
   std::vector<uint64_t> TrackedElements() const override;
+
+  /// Bounded-space mode: elements `site` keeps a reported-weight entry
+  /// for; only an element report creates one. 0 in exact mode.
+  size_t site_reported_entries(size_t site) const {
+    return site_reported_.empty() ? 0 : site_reported_[site].size();
+  }
 
  private:
   /// One queued site->coordinator report. Scalar (total-weight) and
@@ -70,7 +71,7 @@ class P2Threshold : public HeavyHitterProtocol {
   };
 
   /// Delivers one site's queued reports in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
 
   double eps_;
   P2Options options_;

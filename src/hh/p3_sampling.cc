@@ -17,6 +17,19 @@ size_t SampleSizeForEpsilon(double eps) {
   return static_cast<size_t>(std::max(8.0, std::ceil(s)));
 }
 
+std::vector<PriorityEntry> AdjustedSample(std::vector<PriorityEntry> entries) {
+  if (entries.size() <= 1) return {};
+  auto min_it =
+      std::min_element(entries.begin(), entries.end(),
+                       [](const PriorityEntry& a, const PriorityEntry& b) {
+                         return a.priority < b.priority;
+                       });
+  const double tau = min_it->priority;
+  entries.erase(min_it);
+  for (auto& e : entries) e.weight = std::max(e.weight, tau);
+  return entries;
+}
+
 P3SamplingWoR::P3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                              size_t sample_size)
     : s_(sample_size != 0 ? sample_size : SampleSizeForEpsilon(eps)),
@@ -27,31 +40,22 @@ P3SamplingWoR::P3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
   q_next_.reserve(s_ + 1);
 }
 
-void P3SamplingWoR::OnForward(size_t site, const sketch::PriorityEntry&) {
-  network_.RecordElement(site);
-}
-
-void P3SamplingWoR::Process(size_t site, uint64_t element, double weight) {
-  SiteUpdate(site, element, weight);
-  DrainSite(site);  // only this site can have queued anything
-}
-
 void P3SamplingWoR::SiteUpdate(size_t site, uint64_t element,
                                double weight) {
   DMT_CHECK_LT(site, site_rngs_.size());
   DMT_CHECK_GT(weight, 0.0);
-  sketch::PriorityEntry e{element, weight,
-                          weight / site_rngs_[site].NextDoublePositive()};
-  // tau_ only moves at Synchronize(); within a round every site compares
+  PriorityEntry e{element, weight,
+                  weight / site_rngs_[site].NextDoublePositive()};
+  // tau_ only moves in a drain; within a round every site compares
   // against the threshold of the last broadcast, exactly like a real site
   // that has not yet seen the next one.
   if (e.priority < tau_) return;  // not sampled; no message
-  OnForward(site, e);
+  network_.RecordElement(site);
   outbox_[site].push_back(e);
 }
 
 void P3SamplingWoR::DrainSite(size_t site) {
-  for (const sketch::PriorityEntry& e : outbox_[site]) {
+  for (const PriorityEntry& e : outbox_[site]) {
     // A message can arrive after tau doubled past it (sent before the
     // broadcast of this round reached the site). The coordinator drops
     // it: the pool invariant is "items with priority >= current tau".
@@ -66,14 +70,6 @@ void P3SamplingWoR::DrainSite(size_t site) {
   outbox_[site].clear();
 }
 
-void P3SamplingWoR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P3SamplingWoR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
-}
-
 void P3SamplingWoR::EndRoundIfNeeded() {
   while (q_next_.size() >= s_) {
     tau_ *= 2.0;
@@ -82,7 +78,7 @@ void P3SamplingWoR::EndRoundIfNeeded() {
     network_.RecordRound();
     // Q_cur is discarded; Q_next is re-partitioned against the new tau.
     q_cur_.clear();
-    std::vector<sketch::PriorityEntry> promoted;
+    std::vector<PriorityEntry> promoted;
     for (const auto& e : q_next_) {
       if (e.priority >= 2.0 * tau_) {
         promoted.push_back(e);
@@ -94,13 +90,13 @@ void P3SamplingWoR::EndRoundIfNeeded() {
   }
 }
 
-std::vector<sketch::PriorityEntry> P3SamplingWoR::CurrentSample() const {
-  std::vector<sketch::PriorityEntry> pool = q_cur_;
+std::vector<PriorityEntry> P3SamplingWoR::CurrentSample() const {
+  std::vector<PriorityEntry> pool = q_cur_;
   pool.insert(pool.end(), q_next_.begin(), q_next_.end());
   // While tau has never doubled every arriving item was forwarded (weights
   // are >= 1 = tau), so the pool *is* the stream and estimates are exact.
   if (!tau_ever_doubled_) return pool;
-  return sketch::AdjustedSample(std::move(pool));
+  return AdjustedSample(std::move(pool));
 }
 
 double P3SamplingWoR::EstimateElementWeight(uint64_t element) const {
@@ -141,11 +137,6 @@ P3SamplingWR::P3SamplingWR(size_t num_sites, double eps, uint64_t seed,
       slots_below_2tau_(s_),
       outbox_(num_sites) {}
 
-void P3SamplingWR::Process(size_t site, uint64_t element, double weight) {
-  SiteUpdate(site, element, weight);
-  DrainSite(site);  // only this site can have queued anything
-}
-
 void P3SamplingWR::SiteUpdate(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_rngs_.size());
   DMT_CHECK_GT(weight, 0.0);
@@ -185,7 +176,7 @@ void P3SamplingWR::ApplySlotUpdate(size_t t, uint64_t element, double weight,
   if (rho > slot.top.priority) {
     const double old_second = slot.second_priority;
     slot.second_priority = slot.top.priority;
-    slot.top = sketch::PriorityEntry{element, weight, rho};
+    slot.top = PriorityEntry{element, weight, rho};
     if (old_second <= 2.0 * tau_ && slot.second_priority > 2.0 * tau_) {
       --slots_below_2tau_;
     }
@@ -207,14 +198,6 @@ void P3SamplingWR::DrainSite(size_t site) {
     EndRoundIfNeeded();
   }
   outbox_[site].clear();
-}
-
-void P3SamplingWR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P3SamplingWR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 void P3SamplingWR::EndRoundIfNeeded() {

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "hh/hh_protocol.h"
-#include "sketch/priority_sampler.h"
 #include "stream/network.h"
 #include "util/rng.h"
 
@@ -36,6 +35,22 @@ namespace hh {
 /// Returns the paper's sample size s = Theta((1/eps^2) log(1/eps)).
 size_t SampleSizeForEpsilon(double eps);
 
+/// One sampled stream item.
+struct PriorityEntry {
+  uint64_t element = 0;
+  double weight = 0.0;   // original weight
+  double priority = 0.0;
+};
+
+/// Priority sampling's estimate [Duffield, Lund, Thorup, JACM 2007]:
+/// given sampled entries *including* the threshold item (the smallest
+/// priority in the pool, which acts as tau and is excluded from the
+/// estimate), returns per-entry adjusted weights max(w_i, tau) for the
+/// remaining entries, in the same order (threshold item removed). Every
+/// subset-sum estimate over the result is unbiased. A pool of at most one
+/// entry yields an empty result (no estimate is possible).
+std::vector<PriorityEntry> AdjustedSample(std::vector<PriorityEntry> entries);
+
 /// Without-replacement sampling protocol (P3wor).
 class P3SamplingWoR : public HeavyHitterProtocol {
  public:
@@ -43,15 +58,10 @@ class P3SamplingWoR : public HeavyHitterProtocol {
   P3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                 size_t sample_size = 0);
 
-  void Process(size_t site, uint64_t element, double weight) override;
   void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
   const stream::CommStats& comm_stats() const override;
@@ -67,10 +77,7 @@ class P3SamplingWoR : public HeavyHitterProtocol {
 
  protected:
   /// Current adjusted sample (exact weights while still in round 1).
-  std::vector<sketch::PriorityEntry> CurrentSample() const;
-
-  /// Hook for the matrix variant: called when an item is forwarded.
-  virtual void OnForward(size_t site, const sketch::PriorityEntry& entry);
+  std::vector<PriorityEntry> CurrentSample() const;
 
   size_t s_;
   stream::Network network_;
@@ -79,14 +86,14 @@ class P3SamplingWoR : public HeavyHitterProtocol {
   std::vector<Rng> site_rngs_;
   double tau_ = 1.0;
   bool tau_ever_doubled_ = false;
-  std::vector<sketch::PriorityEntry> q_cur_;
-  std::vector<sketch::PriorityEntry> q_next_;
+  std::vector<PriorityEntry> q_cur_;
+  std::vector<PriorityEntry> q_next_;
   // Forwarded items awaiting coordinator bucketing (per-site, FIFO).
-  std::vector<std::vector<sketch::PriorityEntry>> outbox_;
+  std::vector<std::vector<PriorityEntry>> outbox_;
 
  private:
   /// Delivers one site's queued forwards in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
   void EndRoundIfNeeded();
 };
 
@@ -96,15 +103,10 @@ class P3SamplingWR : public HeavyHitterProtocol {
   P3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                size_t sample_size = 0);
 
-  void Process(size_t site, uint64_t element, double weight) override;
   void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
   const stream::CommStats& comm_stats() const override;
@@ -118,7 +120,7 @@ class P3SamplingWR : public HeavyHitterProtocol {
 
  private:
   struct Slot {
-    sketch::PriorityEntry top;
+    PriorityEntry top;
     double second_priority = 0.0;
   };
 
@@ -134,7 +136,7 @@ class P3SamplingWR : public HeavyHitterProtocol {
   void ApplySlotUpdate(size_t t, uint64_t element, double weight,
                        double rho);
   /// Delivers one site's queued sampler successes in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
   void EndRoundIfNeeded();
 
   size_t s_;

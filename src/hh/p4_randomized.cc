@@ -87,14 +87,6 @@ void P4Randomized::DrainSite(size_t site) {
   outbox_[site].clear();
 }
 
-void P4Randomized::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void P4Randomized::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
-}
-
 double P4Randomized::CopyEstimate(size_t copy, uint64_t element) const {
   auto it = reported_[copy].find(element);
   if (it == reported_[copy].end()) return 0.0;

@@ -42,13 +42,9 @@ class P4Randomized : public HeavyHitterProtocol {
 
   void Process(size_t site, uint64_t element, double weight) override;
   void SiteUpdate(size_t site, uint64_t element, double weight) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t element) const override;
   double EstimateTotalWeight() const override;
   const stream::CommStats& comm_stats() const override;
@@ -82,7 +78,7 @@ class P4Randomized : public HeavyHitterProtocol {
                  std::vector<PendingReport>* sink);
 
   /// Delivers one site's queued reports in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
 
   /// Estimate of one independent copy.
   double CopyEstimate(size_t copy, uint64_t element) const;

@@ -21,20 +21,10 @@ void NaiveFdBaseline::SiteUpdate(size_t site, const std::vector<double>& row) {
   outbox_[site].push_back(row);
 }
 
-void NaiveFdBaseline::Synchronize() {
-  // Batch each site's queued rows through the FD bulk path: one shrink
-  // per buffer fill instead of one per ell appended rows.
-  linalg::Matrix batch;
-  for (auto& site_outbox : outbox_) {
-    for (const auto& row : site_outbox) batch.AppendRow(row);
-    site_outbox.clear();
-  }
-  fd_.AppendRows(batch);
-}
-
 void NaiveFdBaseline::SynchronizeSites(const uint32_t* sites, size_t count) {
-  // Sites absent from the list have empty outboxes, so this builds the
-  // same ascending-site batch as the full scan.
+  // Batch the listed sites' queued rows, in list order, through the FD
+  // bulk path: one shrink per buffer fill instead of one per ell appended
+  // rows.
   linalg::Matrix batch;
   for (size_t i = 0; i < count; ++i) {
     auto& site_outbox = outbox_[sites[i]];
@@ -67,20 +57,9 @@ void NaiveSvdBaseline::SiteUpdate(size_t site,
   outbox_[site].push_back(row);
 }
 
-void NaiveSvdBaseline::Synchronize() {
-  // One blocked Gram accumulation over the round's rows instead of a
-  // rank-1 sweep per row.
-  linalg::Matrix batch;
-  for (auto& site_outbox : outbox_) {
-    for (const auto& row : site_outbox) batch.AppendRow(row);
-    site_outbox.clear();
-  }
-  cov_.AddRows(batch);
-}
-
 void NaiveSvdBaseline::SynchronizeSites(const uint32_t* sites, size_t count) {
-  // Same ascending-site batch as the full scan (unlisted outboxes are
-  // empty by the driver's contract).
+  // One blocked Gram accumulation over the listed sites' rows, in list
+  // order, instead of a rank-1 sweep per row.
   linalg::Matrix batch;
   for (size_t i = 0; i < count; ++i) {
     auto& site_outbox = outbox_[sites[i]];

@@ -24,13 +24,10 @@ class NaiveFdBaseline : public MatrixTrackingProtocol {
 
   void ProcessRow(size_t site, const std::vector<double>& row) override;
   void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
   void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   linalg::Matrix CoordinatorSketch() const override;
   const stream::CommStats& comm_stats() const override;
   std::vector<uint64_t> per_site_messages() const override {
@@ -52,13 +49,10 @@ class NaiveSvdBaseline : public MatrixTrackingProtocol {
 
   void ProcessRow(size_t site, const std::vector<double>& row) override;
   void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
   void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   /// Rows sqrt(lambda_i) v_i^T for the top-k eigenpairs of A^T A: the
   /// unique B with B^T B = (A_k)^T A_k.
   linalg::Matrix CoordinatorSketch() const override;

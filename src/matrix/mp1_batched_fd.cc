@@ -24,11 +24,6 @@ MP1BatchedFD::MP1BatchedFD(size_t num_sites, double eps)
   outbox_.resize(num_sites);
 }
 
-void MP1BatchedFD::ProcessRow(size_t site, const std::vector<double>& row) {
-  SiteUpdate(site, row);
-  DrainSite(site);  // only this site can have queued anything
-}
-
 void MP1BatchedFD::SiteUpdate(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_sketches_.size());
   site_sketches_[site].Append(row);
@@ -36,7 +31,7 @@ void MP1BatchedFD::SiteUpdate(size_t site, const std::vector<double>& row) {
 
   const double m = static_cast<double>(network_.num_sites());
   // site_fest_ is the F-hat of the last broadcast the site has seen; it
-  // only changes in Synchronize(), so this read is round-stable.
+  // only changes in a drain, so this read is round-stable.
   const double tau = (eps_ / (2.0 * m)) * site_fest_[site];
   if (site_frob_[site] >= tau) EmitFlush(site);
 }
@@ -71,14 +66,6 @@ void MP1BatchedFD::ApplyFlush(const PendingFlush& flush) {
 void MP1BatchedFD::DrainSite(size_t site) {
   for (const PendingFlush& flush : outbox_[site]) ApplyFlush(flush);
   outbox_[site].clear();
-}
-
-void MP1BatchedFD::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void MP1BatchedFD::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 linalg::Matrix MP1BatchedFD::CoordinatorSketch() const {

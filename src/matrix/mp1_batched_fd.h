@@ -30,15 +30,10 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
  public:
   MP1BatchedFD(size_t num_sites, double eps);
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
   void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   linalg::Matrix CoordinatorSketch() const override;
   const stream::CommStats& comm_stats() const override;
   std::vector<uint64_t> per_site_messages() const override {
@@ -59,7 +54,7 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
   // Site half of a flush (messages + outbox + site reset).
   void EmitFlush(size_t site);
   // Delivers one site's queued flushes in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
   // Coordinator half (merge + F_C + possible F-hat broadcast).
   void ApplyFlush(const PendingFlush& flush);
 

@@ -98,7 +98,7 @@ void MP2SvdThreshold::SiteUpdate(size_t site,
   const double w = linalg::SquaredNorm(row);
 
   // Deferred path: the report is queued, so this round's direction
-  // threshold keeps the F-hat of the last Synchronize() — exactly what a
+  // threshold keeps the F-hat of the last drain — exactly what a
   // real site knows before the next broadcast arrives. A stale (smaller)
   // F-hat only lowers the threshold, which ships directions earlier: more
   // communication, never more error (the bound is one-sided).
@@ -119,14 +119,6 @@ void MP2SvdThreshold::DrainSite(size_t site) {
     }
   }
   outbox_[site].clear();
-}
-
-void MP2SvdThreshold::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void MP2SvdThreshold::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 std::vector<MP2SvdThreshold::PendingMsg> MP2SvdThreshold::TakePendingMessages(

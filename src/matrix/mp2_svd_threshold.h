@@ -64,13 +64,9 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
 
   void ProcessRow(size_t site, const std::vector<double>& row) override;
   void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   /// Rows sqrt(lambda_i) v_i^T reconstructed from the coordinator's exact
   /// Gram of all received directions.
   linalg::Matrix CoordinatorSketch() const override;
@@ -104,7 +100,7 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
   /// Site half: moves out this site's queued messages, in emission order.
   std::vector<PendingMsg> TakePendingMessages(size_t site);
   /// Coordinator half: records the message cost for `site` and applies one
-  /// message — the remote-delivery equivalent of Synchronize()'s drain.
+  /// message — the remote-delivery equivalent of DrainSite().
   void DeliverMessage(size_t site, const PendingMsg& msg);
   /// F-hat as of the last broadcast (0 before the first) — the value the
   /// coordinator pushes down to sites at a window boundary.
@@ -139,7 +135,7 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
   };
 
   // Delivers one site's queued messages in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
   // Lazy structural init from the first row (thread-safe via dim_once_).
   void EnsureDim(const std::vector<double>& row);
   // Site half of the total-mass report: returns the amount to deliver
@@ -150,7 +146,7 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
   void ApplyScalar(double amount);
   // Direction-shipping logic shared by both schedules. `sink` == nullptr
   // applies to the coordinator Gram immediately (serial path); otherwise
-  // directions are queued for Synchronize().
+  // directions are queued for the next drain.
   void ElementPhase(size_t site, const std::vector<double>& row, double w,
                     std::vector<PendingMsg>* sink);
   void EmitDirection(size_t site, double lam, const std::vector<double>& v,

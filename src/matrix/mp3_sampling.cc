@@ -16,18 +16,12 @@ MP3SamplingWoR::MP3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
       site_rngs_(MakeSiteRngs(num_sites, seed)),
       outbox_(num_sites) {}
 
-void MP3SamplingWoR::ProcessRow(size_t site,
-                                const std::vector<double>& row) {
-  SiteUpdate(site, row);
-  DrainSite(site);  // only this site can have queued anything
-}
-
 void MP3SamplingWoR::SiteUpdate(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_rngs_.size());
   const double w = linalg::SquaredNorm(row);
   if (w <= 0.0) return;  // zero rows carry no covariance mass
   const double rho = w / site_rngs_[site].NextDoublePositive();
-  // tau_ only moves at Synchronize(); within a round every site compares
+  // tau_ only moves in a drain; within a round every site compares
   // against the threshold of the last broadcast it has seen.
   if (rho < tau_) return;
   network_.RecordVector(site);
@@ -48,14 +42,6 @@ void MP3SamplingWoR::DrainSite(size_t site) {
     }
   }
   outbox_[site].clear();
-}
-
-void MP3SamplingWoR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void MP3SamplingWoR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 void MP3SamplingWoR::EndRoundIfNeeded() {
@@ -126,11 +112,6 @@ MP3SamplingWR::MP3SamplingWR(size_t num_sites, double eps, uint64_t seed,
       slots_below_2tau_(s_),
       outbox_(num_sites) {}
 
-void MP3SamplingWR::ProcessRow(size_t site, const std::vector<double>& row) {
-  SiteUpdate(site, row);
-  DrainSite(site);  // only this site can have queued anything
-}
-
 void MP3SamplingWR::SiteUpdate(size_t site, const std::vector<double>& row) {
   DMT_CHECK_LT(site, site_rngs_.size());
   const double w = linalg::SquaredNorm(row);
@@ -188,14 +169,6 @@ void MP3SamplingWR::DrainSite(size_t site) {
     EndRoundIfNeeded();
   }
   outbox_[site].clear();
-}
-
-void MP3SamplingWR::Synchronize() {
-  for (size_t s = 0; s < outbox_.size(); ++s) DrainSite(s);
-}
-
-void MP3SamplingWR::SynchronizeSites(const uint32_t* sites, size_t count) {
-  for (size_t i = 0; i < count; ++i) DrainSite(sites[i]);
 }
 
 void MP3SamplingWR::EndRoundIfNeeded() {

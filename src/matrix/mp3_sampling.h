@@ -38,15 +38,10 @@ class MP3SamplingWoR : public MatrixTrackingProtocol {
   MP3SamplingWoR(size_t num_sites, double eps, uint64_t seed,
                  size_t sample_size = 0);
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
   void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   linalg::Matrix CoordinatorSketch() const override;
   const stream::CommStats& comm_stats() const override;
   std::vector<uint64_t> per_site_messages() const override {
@@ -65,7 +60,7 @@ class MP3SamplingWoR : public MatrixTrackingProtocol {
   };
 
   /// Delivers one site's queued forwards in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
   void EndRoundIfNeeded();
 
   size_t s_;
@@ -87,15 +82,10 @@ class MP3SamplingWR : public MatrixTrackingProtocol {
   MP3SamplingWR(size_t num_sites, double eps, uint64_t seed,
                 size_t sample_size = 0);
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
   void SiteUpdate(size_t site, const std::vector<double>& row) override;
-  void Synchronize() override;
-  void SynchronizeSites(const uint32_t* sites, size_t count) override;
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   linalg::Matrix CoordinatorSketch() const override;
   const stream::CommStats& comm_stats() const override;
   std::vector<uint64_t> per_site_messages() const override {
@@ -125,7 +115,7 @@ class MP3SamplingWR : public MatrixTrackingProtocol {
   void ApplySlotUpdate(size_t t, const std::vector<double>& row,
                        double weight, double rho);
   /// Delivers one site's queued sampler successes in emission order.
-  void DrainSite(size_t site);
+  void DrainSite(size_t site) override;
   void EndRoundIfNeeded();
 
   size_t s_;

@@ -31,7 +31,7 @@ double MP4Experimental::CurrentP() const {
   return 2.0 * std::sqrt(m) / (eps_ * fest);
 }
 
-void MP4Experimental::ProcessRow(size_t site,
+void MP4Experimental::SiteUpdate(size_t site,
                                  const std::vector<double>& row) {
   DMT_CHECK_LT(site, sites_.size());
   if (dim_ == 0) {

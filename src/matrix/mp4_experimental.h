@@ -50,7 +50,11 @@ class MP4Experimental : public MatrixTrackingProtocol {
   MP4Experimental(size_t num_sites, double eps, uint64_t seed,
                   const MP4Options& options = {});
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override;
+  /// Runs the whole per-row exchange, coordinator half included, so
+  /// nothing is ever queued (DrainSite stays the base no-op) and calls
+  /// for distinct sites may not run concurrently.
+  void SiteUpdate(size_t site, const std::vector<double>& row) override;
+  bool SupportsConcurrentSiteUpdates() const override { return false; }
   linalg::Matrix CoordinatorSketch() const override;
   linalg::Matrix CoordinatorGram() const override;
   const stream::CommStats& comm_stats() const override;

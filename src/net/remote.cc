@@ -266,7 +266,7 @@ bool RunWireCoordinator(WireAdapter* adapter,
   report->bytes_to_site.assign(m, 0);
 
   for (size_t w = 0; w < num_windows; ++w) {
-    // Ascending-site drain: the oracle's Synchronize() order.
+    // Ascending-site drain: the oracle's SynchronizeSites() order.
     for (size_t s = 0; s < m; ++s) {
       Connection* conn = (*channels)[s].get();
       while (true) {

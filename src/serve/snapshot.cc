@@ -82,19 +82,6 @@ std::unique_ptr<const Snapshot> BuildSnapshot(
   return snap;
 }
 
-std::unique_ptr<const Snapshot> BuildWindowedSnapshot(
-    const sketch::SlidingWindowFD& window_fd, bool include_straddling,
-    uint64_t window_index, uint64_t items_ingested) {
-  auto snap = std::make_unique<Snapshot>();
-  snap->window_index = window_index;
-  snap->items_ingested = items_ingested;
-  // ExportSketch deep-copies the block buffers by contract; the returned
-  // matrix owns every row, so this snapshot survives subsequent appends.
-  FinishMatrixSection(window_fd.ExportSketch(include_straddling),
-                      snap.get());
-  return snap;
-}
-
 void SerializeSnapshot(const Snapshot& snapshot, std::vector<uint8_t>* out) {
   DMT_CHECK(out != nullptr);
   out->clear();

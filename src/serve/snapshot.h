@@ -30,7 +30,6 @@
 #include "hh/hh_protocol.h"
 #include "linalg/matrix.h"
 #include "matrix/matrix_protocol.h"
-#include "sketch/sliding_window_fd.h"
 
 namespace dmt {
 namespace serve {
@@ -89,14 +88,6 @@ std::unique_ptr<const Snapshot> BuildSnapshot(
 std::unique_ptr<const Snapshot> BuildSnapshot(
     const matrix::MatrixTrackingProtocol& protocol, uint64_t window_index,
     uint64_t items_ingested);
-
-/// Exports a sliding-window FD sketch as a matrix snapshot. The sketch
-/// matrix is deep-copied out of the live block buffers (never aliased), so
-/// the snapshot stays bit-identical while the window keeps sliding —
-/// regression-pinned by tests/sliding_window_fd_test.cc.
-std::unique_ptr<const Snapshot> BuildWindowedSnapshot(
-    const sketch::SlidingWindowFD& window_fd, bool include_straddling,
-    uint64_t window_index, uint64_t items_ingested);
 
 /// Canonical byte serialization: every field in a fixed order, integers
 /// and doubles as little-endian fixed-width images (doubles bit-exact).

@@ -145,7 +145,7 @@ std::vector<size_t> WindowEnds(size_t n, size_t chunk_elements,
   const size_t chunk = std::max<size_t>(1, chunk_elements);
   // Bootstrap round: protocols start with a zero broadcast value (W-hat /
   // F-hat / tau), which makes every site threshold 0 until the first
-  // Synchronize. A full chunk at threshold 0 would send one message per
+  // drain. A full chunk at threshold 0 would send one message per
   // arrival; a short first round (~one arrival per site) bounds that
   // bootstrap traffic to O(num_sites) messages. Part of the fixed
   // schedule, so determinism across thread counts is unaffected.
@@ -213,19 +213,13 @@ void SimulationDriver::ExecuteWindow(Protocol* protocol, bool concurrent,
 
   // Coordinator drain. Each lane's pending buffer is ascending and the
   // home ranges ascend with the lane id, so the concatenation in lane
-  // order is the full scan's ascending-site total order.
-  if (protocol->SupportsTargetedDrain()) {
-    drain_sites_.clear();
-    for (size_t i = 0; i < nlanes; ++i) {
-      drain_sites_.insert(drain_sites_.end(), lanes_[i].pending.begin(),
-                          lanes_[i].pending.end());
-    }
-    ++stats_.targeted_drains;
-    protocol->SynchronizeSites(drain_sites_.data(), drain_sites_.size());
-  } else {
-    ++stats_.drain_stalls;
-    protocol->Synchronize();
+  // order is the ascending-site total order.
+  drain_sites_.clear();
+  for (size_t i = 0; i < nlanes; ++i) {
+    drain_sites_.insert(drain_sites_.end(), lanes_[i].pending.begin(),
+                        lanes_[i].pending.end());
   }
+  protocol->SynchronizeSites(drain_sites_.data(), drain_sites_.size());
 }
 
 template <typename Protocol, typename Item>

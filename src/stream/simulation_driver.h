@@ -31,10 +31,8 @@
 // arrival is published into the lane's single-producer pending buffer;
 // after the window barrier the coordinator concatenates those buffers in
 // lane order — already ascending, since the home ranges are — and drains
-// exactly the pending sites via SynchronizeSites: the same total order as
-// a full Synchronize() scan, without touching the m - k idle sites.
-// Protocols that cannot drain selectively fall back to Synchronize()
-// (counted as a drain stall in SchedulerStats).
+// exactly the pending sites via SynchronizeSites: ascending site, emission
+// order within a site, without touching the m - k idle sites.
 //
 //   Determinism guarantee: for a fixed (protocol seed, router assignment,
 //   chunk_elements), runs with ANY number of threads produce bit-identical
@@ -163,10 +161,10 @@ class SimulationDriver {
   }
 
   /// Scheduler counters of the most recent Run (reset at each Run start).
-  /// windows / sites_scheduled / targeted_drains / drain_stalls are
-  /// schedule-determined and thread-count-invariant; batches_reserved
-  /// (non-empty lane ranges) depends on the lane count (observability,
-  /// never fed back into the simulation).
+  /// windows and sites_scheduled are schedule-determined and
+  /// thread-count-invariant; batches_reserved (non-empty lane ranges)
+  /// depends on the lane count (observability, never fed back into the
+  /// simulation).
   const SchedulerStats& scheduler_stats() const { return stats_; }
 
   /// Drives a heavy-hitter protocol: items[i] arrives at sites[i].

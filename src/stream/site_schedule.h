@@ -22,9 +22,9 @@
 //     window barrier — single producer, single consumer, no locks), the
 //     streaming path's row scratch, and the lane's site count.
 //
-//  3. SchedulerStats — observability counters (non-empty lane ranges,
-//     sites scheduled, targeted drains vs full-scan drain stalls) emitted
-//     into the BENCH_parallel_sites.json envelope.
+//  3. SchedulerStats — observability counters (windows, non-empty lane
+//     ranges, sites scheduled) emitted into the BENCH_parallel_sites.json
+//     envelope.
 //
 // Each lane walks its slice in ascending order and the home ranges are
 // ascending in lane order, so the lanes' pending buffers, concatenated in
@@ -53,9 +53,6 @@ struct SchedulerStats {
   uint64_t batches_reserved = 0;  ///< non-empty lane ranges run, summed
                                   ///< over windows
   uint64_t sites_scheduled = 0;   ///< site-window executions
-  uint64_t targeted_drains = 0;   ///< windows drained via pending lists
-  uint64_t drain_stalls = 0;      ///< windows that fell back to a full
-                                  ///< all-sites Synchronize() scan
 
   double mean_sites_per_batch() const {
     return batches_reserved == 0

@@ -53,7 +53,6 @@ void FeedAndCheckSortedTracked(Protocol* p, size_t num_sites) {
   for (size_t i = 0; i < 400; ++i) {
     p->Process(i % num_sites, i % 23, 1.0 + static_cast<double>(i % 5));
   }
-  p->Synchronize();
   const std::vector<uint64_t> tracked = p->TrackedElements();
   EXPECT_FALSE(tracked.empty());
   EXPECT_TRUE(std::is_sorted(tracked.begin(), tracked.end()));
@@ -96,7 +95,6 @@ TEST(DeterminismDrainTest, P4EstimatesAreReplayStable) {
       p.Process(0, streams[0][i].first, streams[0][i].second);
       p.Process(1, streams[1][i].first, streams[1][i].second);
     }
-    p.Synchronize();
     std::vector<std::pair<uint64_t, double>> out;
     for (uint64_t e : p.TrackedElements()) {
       out.push_back({e, p.EstimateElementWeight(e)});

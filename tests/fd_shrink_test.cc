@@ -230,7 +230,7 @@ TEST(FdShrinkTest, AppendRowsBulkPathShrinksFarLessOften) {
 // reference backend (a full QL solve per shrink) shrink-for-shrink — same
 // shrink schedule, matching shrinkage accounting and spectra, and a
 // coordinator-level covariance error that agrees within 1e-8.
-TEST(FdShrinkTest, LanczosBackendMatchesJacobiBackend) {
+TEST(FdShrinkTest, LanczosBackendMatchesDenseBackend) {
   const size_t ell = 8, d = 20, n = 800;
   FrequentDirections lanczos(ell, d);
   lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
@@ -272,7 +272,7 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiBackend) {
 // Wide-buffer regime (4*ell < d): the Lanczos path iterates on the rows
 // without materializing the d x d Gram; it must still match the dense
 // reference backend.
-TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
+TEST(FdShrinkTest, LanczosBackendMatchesDenseInWideRegime) {
   const size_t ell = 4, d = 48, n = 200;  // 4*ell = 16 < d
   FrequentDirections lanczos(ell, d);
   lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
@@ -300,7 +300,7 @@ TEST(FdShrinkTest, LanczosBackendMatchesJacobiInWideRegime) {
 // n = d — all on the solver's dense route (2 ell + 10 >= d). The Lanczos
 // backend must still match the dense reference backend shrink for
 // shrink.
-TEST(FdShrinkTest, LanczosBackendMatchesJacobiAtMp1CoordinatorShape) {
+TEST(FdShrinkTest, LanczosBackendMatchesDenseAtMp1CoordinatorShape) {
   const size_t ell = 20, d = 44;
   FrequentDirections lanczos(ell, d);
   lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);

@@ -88,6 +88,24 @@ TEST(P2Test, FewerMessagesThanP1AtSmallEpsilon) {
   EXPECT_LT(s2.total(), s1.total());
 }
 
+TEST(AdjustedSampleTest, EmptyAndSingletonYieldEmpty) {
+  EXPECT_TRUE(AdjustedSample({}).empty());
+  EXPECT_TRUE(AdjustedSample({{1, 2.0, 3.0}}).empty());
+}
+
+TEST(AdjustedSampleTest, DropsMinPriorityAndClampsWeights) {
+  std::vector<PriorityEntry> in{
+      {1, 5.0, 100.0}, {2, 0.5, 10.0}, {3, 2.0, 1.0}};
+  auto out = AdjustedSample(in);
+  ASSERT_EQ(out.size(), 2u);
+  // Element 3 (priority 1.0) is the threshold item and is dropped;
+  // tau = 1.0, so weights become max(w, 1.0).
+  EXPECT_EQ(out[0].element, 1u);
+  EXPECT_DOUBLE_EQ(out[0].weight, 5.0);
+  EXPECT_EQ(out[1].element, 2u);
+  EXPECT_DOUBLE_EQ(out[1].weight, 1.0);
+}
+
 TEST(P3WoRTest, EstimatesWithinEpsilonWhp) {
   const double eps = 0.05;
   const size_t m = 10;

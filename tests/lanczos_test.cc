@@ -82,7 +82,7 @@ void ExpectAgreesWithDenseSolve(const Matrix& s, size_t k,
   }
 }
 
-TEST(LanczosTest, AgreesWithJacobiOnRandomGram) {
+TEST(LanczosTest, AgreesWithDenseSolveOnRandomGram) {
   Rng rng(1);
   Matrix a = RandomGaussianMatrix(80, 24, &rng);
   ExpectAgreesWithDenseSolve(a.Gram(), 6, 1e-6 * 80);

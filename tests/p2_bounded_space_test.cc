@@ -2,6 +2,7 @@
 // the median-of-copies option of P4 (the paper's space/confidence
 // extensions).
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +72,25 @@ TEST(P2BoundedSpaceTest, RecallStillPerfect) {
   for (uint64_t e : r.truth.HeavyHitters(0.05)) {
     EXPECT_NE(std::find(got.begin(), got.end(), e), got.end())
         << "missed heavy hitter " << e;
+  }
+}
+
+// Bounded space means O(counters) per site regardless of the element
+// universe: a site may keep a reported-weight entry only for an element
+// it reported, so its entry count never exceeds its message count. 10^5
+// distinct unit-weight elements over 2 sites report only a few dozen.
+TEST(P2BoundedSpaceTest, SiteEntriesOnlyForReportedElements) {
+  const size_t m = 2;
+  P2Options opts;
+  opts.site_counters = 64;
+  P2Threshold p(m, 0.1, opts);
+  for (uint64_t e = 0; e < 100000; ++e) p.Process(e % m, e, 1.0);
+
+  const std::vector<uint64_t> messages = p.per_site_messages();
+  ASSERT_EQ(messages.size(), m);
+  for (size_t s = 0; s < m; ++s) {
+    EXPECT_GT(messages[s], 0u) << "site " << s;
+    EXPECT_LE(p.site_reported_entries(s), messages[s]) << "site " << s;
   }
 }
 

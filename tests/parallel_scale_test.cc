@@ -7,10 +7,9 @@
 // threads and across router policies; (2) the coordinator's targeted
 // drain (SynchronizeSites over the concatenated lane pending-buffers)
 // visits sites in strictly ascending order, exactly the sites with queued
-// messages, no matter how the lanes carved up the window; (3) forcing a
-// protocol onto the full-scan Synchronize() fallback changes counters
-// only, never results; (4) every site runs on one thread for the whole
-// run — its lane's — and lane 0 is the thread that called Run.
+// messages, no matter how the lanes carved up the window; (3) every site
+// runs on one thread for the whole run — its lane's — and lane 0 is the
+// thread that called Run.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -102,10 +101,7 @@ TEST(ParallelScaleTest, LargeMHeavyHitterBitIdenticalAcrossThreads) {
       SimulationDriver driver(opt);
       driver.Run(&protocol, sites, items);
 
-      const SchedulerStats& sched = driver.scheduler_stats();
-      EXPECT_GT(sched.windows, 1u);
-      EXPECT_EQ(sched.targeted_drains, sched.windows);
-      EXPECT_EQ(sched.drain_stalls, 0u);
+      EXPECT_GT(driver.scheduler_stats().windows, 1u);
 
       if (threads == 1) {
         serial = FingerprintOf(protocol);
@@ -144,7 +140,6 @@ TEST(ParallelScaleTest, LargeMMatrixBitIdenticalAcrossThreads) {
       SimulationDriver driver(opt);
       driver.Run(&protocol, sites, rows);
 
-      EXPECT_EQ(driver.scheduler_stats().drain_stalls, 0u);
       if (threads == 1) {
         serial_frob = protocol.coordinator_frobenius();
         serial_msgs = protocol.comm_stats().total();
@@ -156,36 +151,25 @@ TEST(ParallelScaleTest, LargeMMatrixBitIdenticalAcrossThreads) {
   }
 }
 
-// Records every coordinator drain the driver issues. Each SiteUpdate
-// queues one message, so the pending set of a window is exactly its
-// active-site set.
+// Records every coordinator drain the driver issues, through the base
+// SynchronizeSites: one list per call, one entry per DrainSite. Each
+// SiteUpdate queues one message, so the pending set of a window is
+// exactly its active-site set.
 class DrainRecorder : public hh::HeavyHitterProtocol {
  public:
   explicit DrainRecorder(size_t num_sites)
       : outbox_(num_sites), stats_{} {}
 
-  void Process(size_t site, uint64_t element, double weight) override {
-    SiteUpdate(site, element, weight);
-    Synchronize();
-  }
   void SiteUpdate(size_t site, uint64_t, double) override {
     ++outbox_[site];
   }
-  void Synchronize() override {
-    std::vector<uint32_t> all;
-    for (size_t s = 0; s < outbox_.size(); ++s) {
-      if (outbox_[s] > 0) all.push_back(static_cast<uint32_t>(s));
-    }
-    RecordDrain(all.data(), all.size());
-  }
   void SynchronizeSites(const uint32_t* sites, size_t count) override {
-    RecordDrain(sites, count);
+    drains_.emplace_back();
+    HeavyHitterProtocol::SynchronizeSites(sites, count);
   }
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site];
   }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
 
   double EstimateElementWeight(uint64_t) const override { return 0.0; }
   double EstimateTotalWeight() const override { return 0.0; }
@@ -199,9 +183,9 @@ class DrainRecorder : public hh::HeavyHitterProtocol {
   }
 
  private:
-  void RecordDrain(const uint32_t* sites, size_t count) {
-    drains_.emplace_back(sites, sites + count);
-    for (size_t i = 0; i < count; ++i) outbox_[sites[i]] = 0;
+  void DrainSite(size_t site) override {
+    drains_.back().push_back(static_cast<uint32_t>(site));
+    outbox_[site] = 0;
   }
 
   std::vector<uint32_t> outbox_;  // queued message count per site
@@ -210,8 +194,7 @@ class DrainRecorder : public hh::HeavyHitterProtocol {
 };
 
 // The pinned order contract: every window's drain visits exactly the
-// sites with queued messages, each once, strictly ascending — the same
-// total order a full Synchronize() scan produces.
+// sites with queued messages, each once, strictly ascending.
 TEST(ParallelScaleTest, TargetedDrainVisitsPendingSitesAscending) {
   const size_t kM = 997;  // prime: batches never align with site strides
   const size_t kN = 20000;
@@ -242,52 +225,7 @@ TEST(ParallelScaleTest, TargetedDrainVisitsPendingSitesAscending) {
       EXPECT_EQ(got, expected) << "window " << w << ", threads " << threads;
       begin = ends[w];
     }
-    EXPECT_EQ(driver.scheduler_stats().targeted_drains, ends.size());
-  }
-}
-
-// Turning the targeted drain off must change only the counters: the
-// full-scan fallback replays the identical total order.
-TEST(ParallelScaleTest, FullScanFallbackIsBitEquivalent) {
-  const size_t kM = 512;
-  const size_t kN = 50000;
-  const std::vector<WeightedUpdate> items = MakeItems(kN, kSeed + 6);
-  Router router(kM, RoutingPolicy::kSkewed, kSeed + 7);
-  const std::vector<size_t> sites = AssignSites(&router, kN);
-
-  // Same protocol, targeted drain disabled: the driver must fall back to
-  // Synchronize() and record drain stalls.
-  class FullScanP2 : public hh::P2Threshold {
-   public:
-    using P2Threshold::P2Threshold;
-    bool SupportsTargetedDrain() const override { return false; }
-  };
-
-  HhFingerprint targeted_fp;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    hh::P2Threshold targeted(kM, 0.1);
-    FullScanP2 fallback(kM, 0.1);
-    SimulationOptions opt;
-    opt.threads = threads;
-    opt.chunk_elements = 2048;
-
-    SimulationDriver d1(opt);
-    d1.Run(&targeted, sites, items);
-    EXPECT_EQ(d1.scheduler_stats().drain_stalls, 0u);
-    EXPECT_GT(d1.scheduler_stats().targeted_drains, 0u);
-
-    SimulationDriver d2(opt);
-    d2.Run(&fallback, sites, items);
-    EXPECT_EQ(d2.scheduler_stats().targeted_drains, 0u);
-    EXPECT_EQ(d2.scheduler_stats().drain_stalls,
-              d2.scheduler_stats().windows);
-
-    ExpectIdentical(FingerprintOf(targeted), FingerprintOf(fallback));
-    if (threads == 1) {
-      targeted_fp = FingerprintOf(targeted);
-    } else {
-      ExpectIdentical(targeted_fp, FingerprintOf(targeted));
-    }
+    EXPECT_EQ(driver.scheduler_stats().windows, ends.size());
   }
 }
 
@@ -310,7 +248,6 @@ TEST(ParallelScaleTest, SchedulerCountersAreCoherent) {
   const SchedulerStats& s = driver.scheduler_stats();
   const auto ends = WindowEnds(kN, 1024, kM);
   EXPECT_EQ(s.windows, ends.size());
-  EXPECT_EQ(s.targeted_drains + s.drain_stalls, s.windows);
   // sites_scheduled counts each (window, active site) pair exactly once:
   // it must equal the sum of per-window distinct-site counts, which is
   // schedule-determined (thread-count-invariant). batches_reserved counts
@@ -348,9 +285,6 @@ class ThreadRecorder : public matrix::MatrixTrackingProtocol {
   explicit ThreadRecorder(size_t num_sites)
       : owner_(num_sites), calls_(num_sites, 0), moved_(num_sites, 0) {}
 
-  void ProcessRow(size_t site, const std::vector<double>& row) override {
-    SiteUpdate(site, row);
-  }
   void SiteUpdate(size_t site, const std::vector<double>&) override {
     const std::thread::id self = std::this_thread::get_id();
     if (calls_[site]++ == 0) {
@@ -359,10 +293,7 @@ class ThreadRecorder : public matrix::MatrixTrackingProtocol {
       moved_[site] = 1;
     }
   }
-  void SynchronizeSites(const uint32_t*, size_t) override {}
-  bool SupportsTargetedDrain() const override { return true; }
   size_t PendingOutboxSize(size_t) const override { return 0; }
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
 
   linalg::Matrix CoordinatorSketch() const override { return {}; }
   const CommStats& comm_stats() const override { return stats_; }

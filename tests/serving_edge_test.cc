@@ -1,6 +1,6 @@
 // Edge-case contract of the serving query surface: empty pre-window
 // snapshots, k beyond the tracked count, rank beyond the sketch rank,
-// zero-row FD sketches — all defined results; invalid *arguments* abort
+// zero-row sketches — all defined results; invalid *arguments* abort
 // (death tests). The snapshot's factorization is pinned against an
 // independent reference SVD (tests/reference_eigen.h).
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include "reference_eigen.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
-#include "sketch/sliding_window_fd.h"
 #include "util/rng.h"
 
 namespace dmt {
@@ -57,7 +56,6 @@ TEST(ServingEdgeTest, KLargerThanTrackedCountClamps) {
   for (uint64_t e = 0; e < 5; ++e) {
     protocol.Process(e % 2, e, static_cast<double>(e + 1));
   }
-  protocol.Synchronize();
   std::unique_ptr<const serve::Snapshot> snap =
       serve::BuildSnapshot(protocol, 1, 5);
   serve::QueryEngine engine(snap.get());
@@ -97,13 +95,30 @@ TEST(ServingEdgeTest, RankBeyondSketchRankClamps) {
   EXPECT_EQ(engine.ProjectRow(x, 1000000), engine.ProjectRow(x, r));
 }
 
-TEST(ServingEdgeTest, ZeroRowFdSketchIsDefined) {
-  // A sliding-window FD that never saw a row exports an empty matrix
+// A protocol whose coordinator sketch is a fixed matrix, so a snapshot can
+// be built from any sketch.
+class FixedSketchProtocol : public matrix::MatrixTrackingProtocol {
+ public:
+  explicit FixedSketchProtocol(linalg::Matrix sketch)
+      : sketch_(std::move(sketch)) {}
+  void SiteUpdate(size_t, const std::vector<double>&) override {}
+  linalg::Matrix CoordinatorSketch() const override { return sketch_; }
+  const stream::CommStats& comm_stats() const override { return stats_; }
+  std::vector<uint64_t> per_site_messages() const override { return {}; }
+  std::string name() const override { return "fixed"; }
+
+ private:
+  linalg::Matrix sketch_;
+  stream::CommStats stats_;
+};
+
+TEST(ServingEdgeTest, ZeroRowSketchIsDefined) {
+  // A matrix protocol whose sketch has no rows yet exports an empty matrix
   // snapshot: has_matrix set, every query the documented empty result.
-  sketch::SlidingWindowFD window_fd(/*window=*/16, /*ell=*/4);
+  FixedSketchProtocol protocol{linalg::Matrix()};
   std::unique_ptr<const serve::Snapshot> snap =
-      serve::BuildWindowedSnapshot(window_fd, /*include_straddling=*/true,
-                                   /*window_index=*/1, /*items_ingested=*/0);
+      serve::BuildSnapshot(protocol, /*window_index=*/1,
+                           /*items_ingested=*/0);
   EXPECT_TRUE(snap->has_matrix);
   serve::QueryEngine engine(snap.get());
   EXPECT_EQ(engine.SketchRows(), 0u);
@@ -112,26 +127,6 @@ TEST(ServingEdgeTest, ZeroRowFdSketchIsDefined) {
   EXPECT_EQ(engine.CovarianceQuadraticForm({1.0, 2.0, 3.0}), 0.0);
   EXPECT_EQ(engine.ProjectRow({1.0, 2.0}, 3),
             std::vector<double>({0.0, 0.0}));
-}
-
-TEST(ServingEdgeTest, WindowedSnapshotMatchesSketchBytes) {
-  sketch::SlidingWindowFD window_fd(/*window=*/32, /*ell=*/4);
-  for (size_t i = 0; i < 50; ++i) {
-    std::vector<double> row(5, 0.0);
-    row[i % 5] = static_cast<double>(1 + i % 7);
-    window_fd.Append(row);
-  }
-  std::unique_ptr<const serve::Snapshot> snap = serve::BuildWindowedSnapshot(
-      window_fd, /*include_straddling=*/true, 1, 50);
-  // The exported snapshot sketch is exactly ExportSketch's matrix.
-  const linalg::Matrix direct = window_fd.ExportSketch(true);
-  ASSERT_EQ(snap->sketch.rows(), direct.rows());
-  ASSERT_EQ(snap->sketch.cols(), direct.cols());
-  for (size_t i = 0; i < direct.rows(); ++i) {
-    for (size_t j = 0; j < direct.cols(); ++j) {
-      EXPECT_EQ(snap->sketch(i, j), direct(i, j));
-    }
-  }
 }
 
 // Tolerance on snapshot sigma_i given the reference singular values.
@@ -219,7 +214,7 @@ size_t ExpectSnapshotMatchesReferenceSvd(
   return checked;
 }
 
-TEST(ServingEdgeTest, SnapshotFactorizationMatchesThinSvd) {
+TEST(ServingEdgeTest, SnapshotFactorizationMatchesReferenceSvd) {
   // PAMAP-like rows (d = 44) through both matrix protocols: MP2's
   // coordinator sketch has one row per positive eigenvalue of its Gram
   // (rows >= cols), MP1's FD sketch at most 2 ell rows (rows < cols, so
@@ -234,8 +229,6 @@ TEST(ServingEdgeTest, SnapshotFactorizationMatchesThinSvd) {
     mp2.ProcessRow(i % 4, row);
     mp1.ProcessRow(i % 4, row);
   }
-  mp2.Synchronize();
-  mp1.Synchronize();
 
   std::unique_ptr<const serve::Snapshot> mp2_snap =
       serve::BuildSnapshot(mp2, 1, 3000);
@@ -248,23 +241,6 @@ TEST(ServingEdgeTest, SnapshotFactorizationMatchesThinSvd) {
   ASSERT_LT(mp1_snap->sketch.rows(), mp1_snap->sketch.cols());
   EXPECT_GE(ExpectSnapshotMatchesReferenceSvd(*mp1_snap), 3u);
 }
-
-// A protocol whose coordinator sketch is a fixed matrix, so a snapshot can
-// be built from any sketch.
-class FixedSketchProtocol : public matrix::MatrixTrackingProtocol {
- public:
-  explicit FixedSketchProtocol(linalg::Matrix sketch)
-      : sketch_(std::move(sketch)) {}
-  void ProcessRow(size_t, const std::vector<double>&) override {}
-  linalg::Matrix CoordinatorSketch() const override { return sketch_; }
-  const stream::CommStats& comm_stats() const override { return stats_; }
-  std::vector<uint64_t> per_site_messages() const override { return {}; }
-  std::string name() const override { return "fixed"; }
-
- private:
-  linalg::Matrix sketch_;
-  stream::CommStats stats_;
-};
 
 // The Gram route's stated accuracy (linalg/svd.h): sigma_i^2 to about
 // d eps sigma_1^2, so sigma_i to that over sigma_i, on a graded MP1-shaped

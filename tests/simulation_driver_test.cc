@@ -179,9 +179,9 @@ TEST(SimulationDriverHhTest, ParallelRunsBitIdenticalToSerial) {
   }
 }
 
-// With chunk size 1 the driver synchronizes after every arrival, which for
-// the protocols whose Process() == SiteUpdate(); Synchronize() degenerates
-// to exactly the legacy element-by-element serial path.
+// With chunk size 1 the driver drains after every arrival, which for the
+// protocols whose Process() is the base SiteUpdate() + DrainSite()
+// degenerates to exactly the legacy element-by-element serial path.
 TEST(SimulationDriverHhTest, ChunkOfOneMatchesLegacySerialProcess) {
   const size_t kN = 1500;
   const std::vector<WeightedUpdate> items = MakeHhStream(kN);
@@ -226,6 +226,14 @@ struct MatrixRunResult {
   std::vector<uint64_t> per_site;
   linalg::Matrix sketch;
 };
+
+MatrixRunResult FingerprintMatrix(const matrix::MatrixTrackingProtocol& p) {
+  MatrixRunResult r;
+  r.stats = p.comm_stats();
+  r.per_site = p.per_site_messages();
+  r.sketch = p.CoordinatorSketch();
+  return r;
+}
 
 void ExpectIdentical(const MatrixRunResult& serial,
                      const MatrixRunResult& parallel) {
@@ -293,11 +301,7 @@ MatrixRunResult RunMatrix(const MatrixProtocolCase& c,
   opt.chunk_elements = kChunk;
   SimulationDriver driver(opt);
   driver.Run(protocol.get(), sites, rows);
-  MatrixRunResult r;
-  r.stats = protocol->comm_stats();
-  r.per_site = protocol->per_site_messages();
-  r.sketch = protocol->CoordinatorSketch();
-  return r;
+  return FingerprintMatrix(*protocol);
 }
 
 TEST(SimulationDriverMatrixTest, ParallelRunsBitIdenticalToSerial) {
@@ -315,6 +319,42 @@ TEST(SimulationDriverMatrixTest, ParallelRunsBitIdenticalToSerial) {
         ExpectIdentical(serial, RunMatrix(c, sites, rows, threads));
       }
     }
+  }
+}
+
+// With chunk size 1, ProcessRow per row (the base SiteUpdate() +
+// DrainSite() for MP1 and both MP3 variants) must replay the driver's
+// schedule on one lane exactly: same messages, per-site counts and sketch
+// bits. MP2 is excluded: its ProcessRow delivers the scalar report before
+// the direction check, the paper's immediate-delivery schedule.
+TEST(SimulationDriverMatrixTest, ChunkOfOneMatchesLegacySerialProcessRow) {
+  const size_t kN = 600;
+  const std::vector<std::vector<double>> rows = MakeRowStream(kN);
+  Router router(kSites, RoutingPolicy::kUniform, kSeed + 9);
+  const std::vector<size_t> sites = AssignSites(&router, kN);
+
+  for (const char* name : {"MP1", "MP3wor", "MP3wr"}) {
+    const auto it = std::find_if(
+        std::begin(kMatrixCases), std::end(kMatrixCases),
+        [name](const MatrixProtocolCase& c) {
+          return std::string(c.name) == name;
+        });
+    ASSERT_NE(it, std::end(kMatrixCases));
+    SCOPED_TRACE(name);
+
+    auto legacy = it->make(kSites, kSeed + 11);
+    for (size_t i = 0; i < kN; ++i) legacy->ProcessRow(sites[i], rows[i]);
+
+    auto driven = it->make(kSites, kSeed + 11);
+    SimulationOptions opt;
+    opt.threads = 1;
+    opt.chunk_elements = 1;
+    SimulationDriver driver(opt);
+    driver.Run(driven.get(), sites, rows);
+
+    const MatrixRunResult want = FingerprintMatrix(*legacy);
+    EXPECT_GT(want.stats.total(), 0u);
+    ExpectIdentical(want, FingerprintMatrix(*driven));
   }
 }
 
@@ -336,11 +376,7 @@ TEST(SimulationDriverMatrixTest, UnsupportedProtocolFallsBackSerially) {
     opt.chunk_elements = kChunk;
     SimulationDriver driver(opt);
     driver.Run(p.get(), sites, rows);
-    MatrixRunResult r;
-    r.stats = p->comm_stats();
-    r.per_site = p->per_site_messages();
-    r.sketch = p->CoordinatorSketch();
-    return r;
+    return FingerprintMatrix(*p);
   };
 
   const MatrixRunResult serial = run(1);
@@ -388,14 +424,9 @@ TEST(SimulationDriverTest, ResolveThreadCountPrefersExplicitValue) {
 // whole chunk's tasks, then surface the exception — not crash or hang.
 class ThrowingProtocol : public hh::HeavyHitterProtocol {
  public:
-  void Process(size_t site, uint64_t e, double w) override {
-    SiteUpdate(site, e, w);
-  }
   void SiteUpdate(size_t, uint64_t element, double) override {
     if (element == 42) throw std::runtime_error("poisoned element");
   }
-  void Synchronize() override {}
-  bool SupportsConcurrentSiteUpdates() const override { return true; }
   double EstimateElementWeight(uint64_t) const override { return 0.0; }
   double EstimateTotalWeight() const override { return 0.0; }
   const stream::CommStats& comm_stats() const override { return stats_; }

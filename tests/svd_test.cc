@@ -44,10 +44,10 @@ void ExpectOrthonormalColumns(const Matrix& m, double tol) {
 
 // The reference itself, on both sides of n = d: B = U diag(sigma) V^T
 // with orthonormal U and V.
-class ThinSvdShapeTest
+class ReferenceSvdShapeTest
     : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
 
-TEST_P(ThinSvdShapeTest, ReconstructsAndIsOrthonormal) {
+TEST_P(ReferenceSvdShapeTest, ReconstructsAndIsOrthonormal) {
   auto [n, d] = GetParam();
   Rng rng(n * 131 + d);
   Matrix a = RandomGaussianMatrix(n, d, &rng);
@@ -68,7 +68,7 @@ TEST_P(ThinSvdShapeTest, ReconstructsAndIsOrthonormal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, ThinSvdShapeTest,
+    Shapes, ReferenceSvdShapeTest,
     ::testing::Values(std::make_pair<size_t, size_t>(10, 10),
                       std::make_pair<size_t, size_t>(30, 8),
                       std::make_pair<size_t, size_t>(8, 30),

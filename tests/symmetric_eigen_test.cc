@@ -22,7 +22,7 @@ Matrix Reconstruct(const EigenDecomposition& e) {
   return out;
 }
 
-TEST(JacobiEigenTest, DiagonalMatrixIsItsOwnDecomposition) {
+TEST(SymmetricEigenTest, DiagonalMatrixIsItsOwnDecomposition) {
   Matrix s(3, 3);
   s(0, 0) = 1.0;
   s(1, 1) = 5.0;
@@ -33,7 +33,7 @@ TEST(JacobiEigenTest, DiagonalMatrixIsItsOwnDecomposition) {
   EXPECT_NEAR(e.eigenvalues[2], 1.0, 1e-12);
 }
 
-TEST(JacobiEigenTest, Known2x2) {
+TEST(SymmetricEigenTest, Known2x2) {
   // [[2,1],[1,2]] has eigenvalues 3 and 1.
   Matrix s = Matrix::FromRows({{2, 1}, {1, 2}});
   EigenDecomposition e = SymmetricEigen(s);
@@ -45,7 +45,7 @@ TEST(JacobiEigenTest, Known2x2) {
   EXPECT_NEAR(v[0], v[1], 1e-10);
 }
 
-TEST(JacobiEigenTest, EigenvaluesSortedDescending) {
+TEST(SymmetricEigenTest, EigenvaluesSortedDescending) {
   Rng rng(3);
   Matrix a = RandomGaussianMatrix(12, 6, &rng);
   EigenDecomposition e = SymmetricEigen(a.Gram());
@@ -54,7 +54,7 @@ TEST(JacobiEigenTest, EigenvaluesSortedDescending) {
   }
 }
 
-TEST(JacobiEigenTest, ReconstructionMatchesInput) {
+TEST(SymmetricEigenTest, ReconstructionMatchesInput) {
   Rng rng(7);
   Matrix a = RandomGaussianMatrix(20, 8, &rng);
   Matrix s = a.Gram();
@@ -63,7 +63,7 @@ TEST(JacobiEigenTest, ReconstructionMatchesInput) {
   EXPECT_LT(s.MaxAbsDiff(rec), 1e-9 * s.SquaredFrobeniusNorm());
 }
 
-TEST(JacobiEigenTest, EigenvectorsOrthonormal) {
+TEST(SymmetricEigenTest, EigenvectorsOrthonormal) {
   Rng rng(11);
   Matrix a = RandomGaussianMatrix(15, 7, &rng);
   EigenDecomposition e = SymmetricEigen(a.Gram());
@@ -77,14 +77,14 @@ TEST(JacobiEigenTest, EigenvectorsOrthonormal) {
   }
 }
 
-TEST(JacobiEigenTest, GramEigenvaluesNonNegative) {
+TEST(SymmetricEigenTest, GramEigenvaluesNonNegative) {
   Rng rng(13);
   Matrix a = RandomGaussianMatrix(30, 9, &rng);
   EigenDecomposition e = SymmetricEigen(a.Gram());
   for (double l : e.eigenvalues) EXPECT_GE(l, -1e-9);
 }
 
-TEST(JacobiEigenTest, IndefiniteMatrixHasSignedSpectrum) {
+TEST(SymmetricEigenTest, IndefiniteMatrixHasSignedSpectrum) {
   // [[0,1],[1,0]] has eigenvalues +1 and -1.
   Matrix s = Matrix::FromRows({{0, 1}, {1, 0}});
   EigenDecomposition e = SymmetricEigen(s);
@@ -93,12 +93,12 @@ TEST(JacobiEigenTest, IndefiniteMatrixHasSignedSpectrum) {
   EXPECT_NEAR(SpectralNormSymmetric(s), 1.0, 1e-12);
 }
 
-TEST(JacobiEigenTest, SpectralNormOfZeroMatrix) {
+TEST(SymmetricEigenTest, SpectralNormOfZeroMatrix) {
   Matrix s(4, 4);
   EXPECT_DOUBLE_EQ(SpectralNormSymmetric(s), 0.0);
 }
 
-TEST(JacobiEigenTest, TraceEqualsEigenvalueSum) {
+TEST(SymmetricEigenTest, TraceEqualsEigenvalueSum) {
   Rng rng(17);
   Matrix a = RandomGaussianMatrix(25, 10, &rng);
   Matrix s = a.Gram();
