@@ -1,6 +1,7 @@
 #include "hh/p2_threshold.h"
 
 #include "util/check.h"
+#include "util/contracts.h"
 
 namespace dmt {
 namespace hh {
@@ -24,6 +25,7 @@ P2Threshold::P2Threshold(size_t num_sites, double eps,
   }
 }
 
+DMT_HOT_KERNEL
 void P2Threshold::SiteUpdate(size_t site, uint64_t element, double weight) {
   DMT_CHECK_LT(site, site_weight_.size());
   DMT_CHECK_GT(weight, 0.0);

@@ -50,22 +50,33 @@ void MP1BatchedFD::EmitFlush(size_t site) {
   site_frob_[site] = 0.0;
 }
 
-void MP1BatchedFD::ApplyFlush(const PendingFlush& flush) {
-  coordinator_sketch_.Merge(flush.sketch);
-  coordinator_frob_ += flush.frob;
-
-  if (broadcast_frob_ == 0.0 ||
-      coordinator_frob_ / broadcast_frob_ > 1.0 + eps_ / 2.0) {
-    broadcast_frob_ = coordinator_frob_;
-    network_.RecordBroadcast();
-    network_.RecordRound();
-    for (auto& f : site_fest_) f = broadcast_frob_;
+void MP1BatchedFD::SynchronizeSites(const uint32_t* sites, size_t count) {
+  // F_C and the F-hat broadcasts depend only on the Frobenius sums, so
+  // they run flush by flush as in Algorithm 5.2; the sketches merge as
+  // one batch, which shrinks once per buffer fill instead of once per
+  // flush that crosses 2*ell rows.
+  merge_batch_.clear();
+  for (size_t i = 0; i < count; ++i) {
+    for (const PendingFlush& flush : outbox_[sites[i]]) {
+      coordinator_frob_ += flush.frob;
+      if (broadcast_frob_ == 0.0 ||
+          coordinator_frob_ / broadcast_frob_ > 1.0 + eps_ / 2.0) {
+        broadcast_frob_ = coordinator_frob_;
+        network_.RecordBroadcast();
+        network_.RecordRound();
+        for (auto& f : site_fest_) f = broadcast_frob_;
+      }
+      merge_batch_.push_back(&flush.sketch);
+    }
   }
+  coordinator_sketch_.Merge(merge_batch_.data(), merge_batch_.size());
+  // Only now: the batch points into the outboxes.
+  for (size_t i = 0; i < count; ++i) outbox_[sites[i]].clear();
 }
 
 void MP1BatchedFD::DrainSite(size_t site) {
-  for (const PendingFlush& flush : outbox_[site]) ApplyFlush(flush);
-  outbox_[site].clear();
+  const uint32_t one = static_cast<uint32_t>(site);
+  SynchronizeSites(&one, 1);
 }
 
 linalg::Matrix MP1BatchedFD::CoordinatorSketch() const {

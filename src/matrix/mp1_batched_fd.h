@@ -8,6 +8,14 @@
 // into one FD sketch (mergeability keeps the bound) and re-broadcasts
 // F-hat on (1 + eps/2)-factor growth.
 //
+// The coordinator merges all of a window's flushes as one FD batch
+// (FrequentDirections::Merge over the list), so it shrinks once per
+// buffer fill rather than once per flush. Messages and broadcasts are
+// those of the flush-by-flush merge: they depend only on the exact
+// Frobenius sums F_i and F_C, which are still accounted flush by flush.
+// A drain of one site with one flush — ProcessRow — is the flush-by-flush
+// merge bit for bit.
+//
 // Guarantee: |‖Ax‖² − ‖Bx‖²| ≤ ε‖A‖²_F with O((m/ε²) log(βN)) rows of
 // communication.
 #ifndef DMT_MATRIX_MP1_BATCHED_FD_H_
@@ -31,6 +39,10 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
   MP1BatchedFD(size_t num_sites, double eps);
 
   void SiteUpdate(size_t site, const std::vector<double>& row) override;
+  /// Accounts every listed site's flushes in order (F_C, F-hat
+  /// broadcasts), then merges their sketches into the coordinator's in
+  /// one batch.
+  void SynchronizeSites(const uint32_t* sites, size_t count) override;
   size_t PendingOutboxSize(size_t site) const override {
     return outbox_[site].size();
   }
@@ -42,6 +54,10 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
   std::string name() const override { return "P1"; }
 
   double coordinator_frobenius() const { return coordinator_frob_; }
+  /// Shrinks the coordinator's FD sketch has run (observability).
+  size_t coordinator_shrink_count() const {
+    return coordinator_sketch_.shrink_count();
+  }
 
  private:
   /// A site's shipped batch awaiting coordinator delivery: the FD sketch
@@ -53,10 +69,8 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
 
   // Site half of a flush (messages + outbox + site reset).
   void EmitFlush(size_t site);
-  // Delivers one site's queued flushes in emission order.
+  // Delivers one site's queued flushes: SynchronizeSites of that site.
   void DrainSite(size_t site) override;
-  // Coordinator half (merge + F_C + possible F-hat broadcast).
-  void ApplyFlush(const PendingFlush& flush);
 
   double eps_;
   stream::Network network_;
@@ -65,6 +79,8 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
   std::vector<double> site_fest_;   // F-hat as known by each site
   std::vector<std::vector<PendingFlush>> outbox_;  // per-site, FIFO
   sketch::FrequentDirections coordinator_sketch_;
+  // One window's flush sketches, in drain order (reused across windows).
+  std::vector<const sketch::FrequentDirections*> merge_batch_;
   double coordinator_frob_ = 0.0;   // F_C
   double broadcast_frob_ = 0.0;     // last broadcast F-hat
 };

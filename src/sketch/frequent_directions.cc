@@ -47,48 +47,75 @@ void FrequentDirections::AppendRows(const linalg::Matrix& rows) {
   DMT_CHECK_EQ(rows.cols(), dim_);
   // Self-alias guard (same as Merge): appending from our own buffer while
   // it grows and shrinks would read through dangling row pointers.
-  linalg::Matrix self_copy;
-  const linalg::Matrix* src = &rows;
   if (&rows == &buffer_) {
-    self_copy = buffer_;
-    src = &self_copy;
-  }
-  // Bulk path: fill the buffer to its full capacity between shrinks, so a
-  // block of n rows costs ~n / (capacity - ell) shrinks instead of the
-  // row-at-a-time n / ell. The FD guarantee is unaffected: each shrink's
-  // cutoff is the (ell+1)-th eigenvalue of whatever buffer it compresses,
-  // and errors remain additive across shrinks.
-  const size_t cap = BufferCapacityRows();
-  const size_t n = src->rows();
-  for (size_t i = 0; i < n; ++i) {
-    if (buffer_.rows() >= cap) Shrink();
-    buffer_.AppendRow(src->Row(i), dim_);
-    stream_sq_frob_ += linalg::SquaredNorm(src->Row(i), dim_);
+    const linalg::Matrix self_copy = buffer_;
+    AppendBulk(self_copy, /*add_row_mass=*/true);
+  } else {
+    AppendBulk(rows, /*add_row_mass=*/true);
   }
   ShrinkIfNeeded();  // restore the < 2*ell streaming invariant
 }
 
 void FrequentDirections::Merge(const FrequentDirections& other) {
-  DMT_CHECK_EQ(ell_, other.ell_);
-  if (other.dim_ == 0) return;
-  if (dim_ == 0) dim_ = other.dim_;
-  DMT_CHECK_EQ(dim_, other.dim_);
-  // Bulk-append the other sketch's rows, then shrink once. One shrink of
-  // the (at most 4*ell-row) combined buffer restores the <= 2*ell
-  // invariant, versus up to one shrink per ell_ appended rows on the
-  // row-at-a-time path. The FD guarantee is unaffected: errors are
-  // additive under merge and the single shrink's cutoff is accounted in
-  // total_shrinkage_ as usual.
-  //
-  // Snapshots first: self-merge aliases other's counters with ours, and
-  // ShrinkIfNeeded may bump total_shrinkage_. Matrix::AppendRows handles
-  // the aliased-buffer case itself.
-  const double other_sq_frob = other.stream_sq_frob_;
-  const double other_shrinkage = other.total_shrinkage_;
-  buffer_.AppendRows(other.buffer_);
+  const FrequentDirections* batch = &other;
+  Merge(&batch, 1);
+}
+
+void FrequentDirections::Merge(const FrequentDirections* const* others,
+                               size_t count) {
+  // Snapshots first: `this` may be in the batch (even twice), and the
+  // bulk loop below shrinks our buffer and bumps total_shrinkage_.
+  double merged_sq_frob = stream_sq_frob_;
+  double merged_shrinkage = 0.0;
+  linalg::Matrix self_copy;
+  for (size_t i = 0; i < count; ++i) {
+    const FrequentDirections& other = *others[i];
+    DMT_CHECK_EQ(ell_, other.ell_);
+    if (other.dim_ == 0) continue;
+    if (dim_ == 0) dim_ = other.dim_;
+    DMT_CHECK_EQ(dim_, other.dim_);
+    merged_sq_frob += other.stream_sq_frob_;
+    merged_shrinkage += other.total_shrinkage_;
+    if (&other == this) self_copy = buffer_;
+  }
+  // The parts' rows go through the bulk loop in batch order, so the batch
+  // shrinks exactly where AppendRows of the stacked rows would. The FD
+  // guarantee is unaffected: errors are additive under merge, and each
+  // shrink's cutoff is accounted in total_shrinkage_ as usual. A batch of
+  // one never reaches the 4*ell capacity (both sides hold < 2*ell rows),
+  // so it costs at most the final shrink.
+  for (size_t i = 0; i < count; ++i) {
+    const FrequentDirections& other = *others[i];
+    if (other.dim_ == 0) continue;
+    AppendBulk(&other == this ? self_copy : other.buffer_,
+               /*add_row_mass=*/false);
+  }
   ShrinkIfNeeded();
-  stream_sq_frob_ += other_sq_frob;
-  total_shrinkage_ += other_shrinkage;
+  stream_sq_frob_ = merged_sq_frob;
+  total_shrinkage_ += merged_shrinkage;
+}
+
+void FrequentDirections::AppendBulk(const linalg::Matrix& rows,
+                                    bool add_row_mass) {
+  // Fill the buffer to its full capacity between shrinks, so a block of n
+  // rows costs ~n / (capacity - ell) shrinks instead of the row-at-a-time
+  // n / ell. Each shrink's cutoff is the (ell+1)-th eigenvalue of
+  // whatever buffer it compresses, and errors remain additive across
+  // shrinks.
+  const size_t cap = BufferCapacityRows();
+  const size_t n = rows.rows();
+  size_t i = 0;
+  while (i < n) {
+    if (buffer_.rows() >= cap) Shrink();
+    const size_t take = std::min(n - i, cap - buffer_.rows());
+    buffer_.AppendRows(rows.Row(i), take, dim_);
+    if (add_row_mass) {
+      for (size_t r = i; r < i + take; ++r) {
+        stream_sq_frob_ += linalg::SquaredNorm(rows.Row(r), dim_);
+      }
+    }
+    i += take;
+  }
 }
 
 void FrequentDirections::ShrinkIfNeeded() {

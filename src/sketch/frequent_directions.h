@@ -29,13 +29,15 @@
 //    sqrt(lambda') * v^T in place), numerically equivalent to the SVD
 //    formulation in the paper; tests/fd_shrink_test.cc pins both against
 //    a cold reference SVD of every buffer and against each other.
-//  * Sketches are mergeable [Agarwal et al. 2012]: Merge() bulk-appends
-//    the other sketch's rows and lets one shrink re-compress; errors add,
-//    so the combined sketch still satisfies the bound for A1 stacked on
-//    A2. Protocol MP1 relies on this at the coordinator. AppendRows uses
-//    the same bulk path: it fills the buffer to capacity before each
-//    shrink, so a block of n rows costs ~n/(3*ell) shrinks instead of the
-//    row-at-a-time n/ell.
+//  * Sketches are mergeable [Agarwal et al. 2012]: errors add, so a
+//    sketch merged from parts satisfies the bound for the parts' streams
+//    stacked, under any grouping of the merges. AppendRows and both
+//    Merge forms share one bulk path: the buffer fills to its 4*ell
+//    capacity before each shrink, so n rows cost ~n/(3*ell) shrinks
+//    instead of the row-at-a-time n/ell. Merging a batch of k sketches
+//    in one call therefore shrinks once per buffer fill, where k single
+//    merges can shrink k times. Protocol MP1's coordinator merges each
+//    window's flushes as one batch.
 #ifndef DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 #define DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 
@@ -81,8 +83,16 @@ class FrequentDirections {
   /// Merges another FD sketch (same ell) into this one. Mergeability
   /// [Agarwal et al. 2012]: the errors add, so the combined sketch
   /// satisfies the class bound for A1 stacked on A2 with no loss over
-  /// sketching the concatenated stream directly.
+  /// sketching the concatenated stream directly. The batch of one below.
   void Merge(const FrequentDirections& other);
+
+  /// Merges `count` sketches (same ell), in order, through the bulk path:
+  /// their rows land exactly as AppendRows of the parts' rows stacked
+  /// would put them, a shrink runs only when the buffer is at 4*ell, and
+  /// one final shrink restores the < 2*ell invariant. Stream mass and
+  /// total_shrinkage() add each part's. The batch may hold `this`, or one
+  /// sketch several times; each entry reads the state before the call.
+  void Merge(const FrequentDirections* const* others, size_t count);
 
   /// Forces compression down to <= ell rows (a query-time convenience; the
   /// guarantee holds with or without the final shrink).
@@ -133,6 +143,13 @@ class FrequentDirections {
   /// full-capacity buffer reservation and warm-seed storage. Shrink calls
   /// it first, so the shrink paths themselves are DMT_NO_ALLOC.
   void EnsureShrinkWorkspace();
+
+  /// The bulk loop of AppendRows and Merge: appends every row of `rows`
+  /// (which must not alias buffer_), shrinking only when the buffer is at
+  /// capacity. `add_row_mass` adds each row's squared norm to the stream
+  /// mass; a merge carries the parts' masses instead. The caller restores
+  /// the < 2*ell invariant afterwards.
+  void AppendBulk(const linalg::Matrix& rows, bool add_row_mass);
 
   void ShrinkIfNeeded();
   void Shrink();

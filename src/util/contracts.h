@@ -121,8 +121,9 @@
 // a 64-byte line also has to place that loop (see kernels::Rank1Update).
 // Put it on the definition, like DMT_NO_ALLOC. Besides the linalg
 // kernels it pins the serving query path (every out-of-line QueryEngine
-// entry point and SnapshotReader::Acquire). GCC and Clang honour it;
-// other compilers get nothing.
+// entry point and SnapshotReader::Acquire) and P2's per-arrival
+// P2Threshold::SiteUpdate. GCC and Clang honour it; other compilers get
+// nothing.
 #if defined(__GNUC__) || defined(__clang__)
 #define DMT_HOT_KERNEL __attribute__((aligned(64)))
 #else

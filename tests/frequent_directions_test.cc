@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -230,6 +231,153 @@ TEST(FrequentDirectionsTest, SelfMergeDoublesTheSketch) {
   EXPECT_LE(MaxUndercount(stacked, fd), fd.total_shrinkage() + 1e-8);
   EXPECT_GE(MinUndercount(stacked, fd),
             -1e-8 * stacked.SquaredFrobeniusNorm());
+}
+
+// Sketches of `sizes[i]` Gaussian rows each (dimension d), with the raw
+// rows of every part stacked into *raw in batch order.
+std::vector<FrequentDirections> GaussianParts(size_t ell, size_t d,
+                                             const std::vector<size_t>& sizes,
+                                             Rng* rng, Matrix* raw) {
+  std::vector<FrequentDirections> parts;
+  for (size_t n : sizes) {
+    Matrix a = linalg::RandomGaussianMatrix(n, d, rng);
+    raw->AppendRows(a);
+    parts.emplace_back(ell);
+    parts.back().AppendRows(a);
+  }
+  return parts;
+}
+
+std::vector<const FrequentDirections*> BatchOf(
+    const std::vector<FrequentDirections>& parts) {
+  std::vector<const FrequentDirections*> batch;
+  for (const FrequentDirections& f : parts) batch.push_back(&f);
+  return batch;
+}
+
+void ExpectSameRows(const FrequentDirections& a, const FrequentDirections& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.dim(), b.dim());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.dim(); ++j) {
+      EXPECT_EQ(a.sketch()(i, j), b.sketch()(i, j)) << i << ", " << j;
+    }
+  }
+}
+
+// A batch merge is the bulk path over the parts' rows stacked: the same
+// rows and shrinks as AppendRows of those rows on a copy, with stream mass
+// and shrinkage carried over from the parts instead of recomputed.
+TEST(FrequentDirectionsTest, BatchMergeMatchesAppendRowsOfStackedParts) {
+  const size_t ell = 5;
+  const size_t d = 9;
+  Rng rng(12);
+  FrequentDirections fd(ell);
+  fd.AppendRows(linalg::RandomGaussianMatrix(37, d, &rng));
+  Matrix raw;
+  const std::vector<FrequentDirections> parts =
+      GaussianParts(ell, d, {23, 40, 9, 61, 17, 3}, &rng, &raw);
+  Matrix stacked;
+  double want_sq_frob = fd.stream_squared_frobenius();
+  double parts_shrinkage = 0.0;
+  for (const FrequentDirections& f : parts) {
+    stacked.AppendRows(f.sketch());
+    want_sq_frob += f.stream_squared_frobenius();
+    parts_shrinkage += f.total_shrinkage();
+  }
+  ASSERT_GT(parts_shrinkage, 0.0);
+  FrequentDirections copy = fd;
+  copy.AppendRows(stacked);
+  const size_t pre_shrinks = fd.shrink_count();
+
+  const std::vector<const FrequentDirections*> batch = BatchOf(parts);
+  fd.Merge(batch.data(), batch.size());
+
+  ExpectSameRows(fd, copy);
+  EXPECT_EQ(fd.shrink_count(), copy.shrink_count());
+  EXPECT_GE(fd.shrink_count(), pre_shrinks + 2);  // a mid-batch shrink ran
+  EXPECT_EQ(fd.stream_squared_frobenius(), want_sq_frob);
+  EXPECT_EQ(fd.total_shrinkage(), copy.total_shrinkage() + parts_shrinkage);
+}
+
+// The FD guarantee for the stacked streams of a batch's parts, with
+// total_shrinkage() as the certificate, and the streaming row invariant.
+TEST(FrequentDirectionsTest, BatchMergeKeepsTheStackedStreamBound) {
+  const size_t ell = 4;
+  const size_t d = 7;
+  Rng rng(13);
+  Matrix raw = linalg::RandomGaussianMatrix(50, d, &rng);
+  FrequentDirections fd(ell);
+  fd.AppendRows(raw);
+  const std::vector<FrequentDirections> parts =
+      GaussianParts(ell, d, {30, 7, 44, 12, 25}, &rng, &raw);
+  const std::vector<const FrequentDirections*> batch = BatchOf(parts);
+  fd.Merge(batch.data(), batch.size());
+
+  const double mass = raw.SquaredFrobeniusNorm();
+  EXPECT_LT(fd.rows(), 2 * ell);
+  EXPECT_NEAR(fd.stream_squared_frobenius(), mass, 1e-9 * mass);
+  EXPECT_GE(MinUndercount(raw, fd), -1e-8 * mass);
+  EXPECT_LE(MaxUndercount(raw, fd), fd.total_shrinkage() + 1e-8 * mass);
+  EXPECT_LE(fd.total_shrinkage(),
+            fd.stream_squared_frobenius() / static_cast<double>(ell + 1));
+}
+
+// k near-full sketches holding R rows: merged one at a time, every merge
+// crosses 2*ell and shrinks; merged as one batch, the buffer fills to
+// 4*ell between shrinks, so at most ceil(R / (3*ell)) + 1 shrinks run.
+TEST(FrequentDirectionsTest, BatchMergeShrinksOncePerBufferFill) {
+  const size_t ell = 6;
+  const size_t d = 10;
+  const size_t k = 12;
+  Rng rng(14);
+  Matrix raw;
+  const std::vector<FrequentDirections> parts = GaussianParts(
+      ell, d, std::vector<size_t>(k, 2 * ell - 1), &rng, &raw);
+  size_t rows = 0;
+  for (const FrequentDirections& f : parts) rows += f.rows();
+  ASSERT_EQ(rows, k * (2 * ell - 1));
+
+  FrequentDirections singles(ell);
+  singles.AppendRows(linalg::RandomGaussianMatrix(ell, d, &rng));
+  FrequentDirections batched = singles;
+  const size_t pre_shrinks = singles.shrink_count();
+
+  for (const FrequentDirections& f : parts) singles.Merge(f);
+  const std::vector<const FrequentDirections*> batch = BatchOf(parts);
+  batched.Merge(batch.data(), batch.size());
+
+  EXPECT_EQ(singles.shrink_count() - pre_shrinks, k);
+  EXPECT_LE(batched.shrink_count() - pre_shrinks,
+            (rows + 3 * ell - 1) / (3 * ell) + 1);
+  EXPECT_LT(batched.rows(), 2 * ell);
+  EXPECT_NEAR(batched.stream_squared_frobenius(),
+              singles.stream_squared_frobenius(),
+              1e-12 * singles.stream_squared_frobenius());
+}
+
+// Every batch entry reads the state before the call, so a batch holding
+// `this` twice is the same batch over an explicit copy.
+TEST(FrequentDirectionsTest, BatchMergeOfSelfMatchesMergeOfCopies) {
+  const size_t ell = 5;
+  Rng rng(15);
+  FrequentDirections aliased(ell);
+  aliased.AppendRows(linalg::RandomGaussianMatrix(73, 8, &rng));
+  FrequentDirections other(ell);
+  other.AppendRows(linalg::RandomGaussianMatrix(29, 8, &rng));
+  FrequentDirections plain = aliased;
+  const FrequentDirections copy = aliased;
+
+  const FrequentDirections* self_batch[] = {&aliased, &other, &aliased};
+  aliased.Merge(self_batch, 3);
+  const FrequentDirections* copy_batch[] = {&copy, &other, &copy};
+  plain.Merge(copy_batch, 3);
+
+  ExpectSameRows(aliased, plain);
+  EXPECT_EQ(aliased.shrink_count(), plain.shrink_count());
+  EXPECT_EQ(aliased.stream_squared_frobenius(),
+            plain.stream_squared_frobenius());
+  EXPECT_EQ(aliased.total_shrinkage(), plain.total_shrinkage());
 }
 
 TEST(FrequentDirectionsTest, LowRankInputRecoveredNearlyExactly) {

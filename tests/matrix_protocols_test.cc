@@ -10,6 +10,7 @@
 #include "matrix/mp3_sampling.h"
 #include "matrix/mp4_experimental.h"
 #include "stream/router.h"
+#include "stream/simulation_driver.h"
 
 namespace dmt {
 namespace matrix {
@@ -52,6 +53,46 @@ TEST(MP1Test, CoordinatorFrobeniusTracksTruth) {
   DriveResult r = Drive(&p, 4, 10000, 10, 3, 2);
   EXPECT_NEAR(p.coordinator_frobenius(), r.truth.squared_frobenius(),
               eps * r.truth.squared_frobenius());
+}
+
+// The coordinator merges each window's flushes as one FD batch, so it
+// shrinks once per 4*ell-row buffer fill (~3*ell shipped rows) plus at
+// most two per window (the batch's first partial fill and its final
+// shrink), not once per flush that crosses 2*ell rows. Messages depend
+// only on the Frobenius sums, and the bound still holds at every window.
+TEST(MP1Test, WindowDrainShrinksOncePerBufferFill) {
+  const double eps = 0.1;
+  const size_t m = 32;
+  const size_t n = 6000;
+  const size_t ell = 20;  // the coordinator's FD runs at eps / 2
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(21));
+  const linalg::Matrix data = gen.Take(n);
+  std::vector<std::vector<double>> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = data.RowVector(i);
+  stream::Router router(m, stream::RoutingPolicy::kUniform, 22);
+  const std::vector<size_t> sites = stream::AssignSites(&router, n);
+
+  MP1BatchedFD p(m, eps);
+  stream::SimulationOptions opt;
+  opt.threads = 1;
+  opt.chunk_elements = 512;
+  stream::SimulationDriver driver(opt);
+  CovarianceTracker truth(data.cols());
+  size_t seen = 0;
+  driver.set_window_callback([&](const stream::WindowEndInfo& w) {
+    for (; seen < w.arrivals_total; ++seen) truth.AddRow(rows[seen]);
+    EXPECT_LE(CovarianceError(truth, p.CoordinatorGram()), eps + 1e-9)
+        << "window " << w.window_index;
+  });
+  driver.Run(&p, sites, rows);
+
+  const size_t windows = driver.scheduler_stats().windows;
+  const uint64_t shipped = p.comm_stats().vector_up;
+  ASSERT_EQ(windows, 13u);
+  ASSERT_GT(shipped, 3 * ell * windows);
+  EXPECT_LE(p.coordinator_shrink_count(),
+            (shipped + 3 * ell - 1) / (3 * ell) + 2 * windows);
 }
 
 TEST(MP2Test, ErrorWithinEpsilonAndOneSided) {

@@ -384,6 +384,97 @@ TEST(SimulationDriverMatrixTest, UnsupportedProtocolFallsBackSerially) {
 }
 
 // ---------------------------------------------------------------------
+// Hand-replayed drain order.
+// ---------------------------------------------------------------------
+//
+// The suites above compare the driver with its own threads = 1 run, so a
+// drain order that is wrong the same way at every lane count passes them.
+// These replay the schedule by hand instead: every arrival's SiteUpdate
+// in stream order, then, at each WindowEnds boundary, the sites with a
+// non-empty outbox drained in ascending order — one SynchronizeSites call
+// per site, or one call on the whole list where that call is the
+// protocol's window batch (MP1).
+
+template <typename Protocol, typename Apply>
+void ReplayWindows(Protocol* p, const std::vector<size_t>& sites,
+                   bool one_call_per_window, const Apply& apply) {
+  size_t num_sites = 0;
+  for (size_t s : sites) num_sites = std::max(num_sites, s + 1);
+  std::vector<uint32_t> pending;
+  size_t begin = 0;
+  for (const size_t end : WindowEnds(sites.size(), kChunk, num_sites)) {
+    for (size_t i = begin; i < end; ++i) apply(i);
+    pending.clear();
+    for (uint32_t s = 0; s < num_sites; ++s) {
+      if (p->PendingOutboxSize(s) > 0) pending.push_back(s);
+    }
+    if (one_call_per_window) {
+      p->SynchronizeSites(pending.data(), pending.size());
+    } else {
+      for (const uint32_t s : pending) p->SynchronizeSites(&s, 1);
+    }
+    begin = end;
+  }
+}
+
+const RoutingPolicy kOraclePolicies[] = {RoutingPolicy::kUniform,
+                                         RoutingPolicy::kSkewed};
+
+TEST(SimulationDriverOracleTest, P2MatchesHandReplayedDrainOrder) {
+  const size_t kN = 20000;
+  const std::vector<WeightedUpdate> items = MakeHhStream(kN);
+  const HhProtocolCase& p2 = kHhCases[1];
+  ASSERT_EQ(std::string(p2.name), "P2");
+  for (RoutingPolicy policy : kOraclePolicies) {
+    SCOPED_TRACE(PolicyName(policy));
+    Router router(kSites, policy, kSeed + 21);
+    const std::vector<size_t> sites = AssignSites(&router, kN);
+    auto replayed = p2.make(kSites, kSeed + 7);
+    ReplayWindows(replayed.get(), sites, /*one_call_per_window=*/false,
+                  [&](size_t i) {
+                    replayed->SiteUpdate(sites[i], items[i].element,
+                                         items[i].weight);
+                  });
+    const HhRunResult want = FingerprintHh(*replayed);
+    EXPECT_GT(want.stats.total(), 0u);
+    for (size_t threads : {1u, 2u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExpectIdentical(want, RunHh(p2, sites, items, threads));
+    }
+  }
+}
+
+TEST(SimulationDriverOracleTest, MatrixMatchesHandReplayedDrainOrder) {
+  const size_t kN = 1600;
+  const std::vector<std::vector<double>> rows = MakeRowStream(kN);
+  // MP1 drains a window as one batch; MP3wor drains site by site.
+  for (const char* name : {"MP1", "MP3wor"}) {
+    const auto it = std::find_if(
+        std::begin(kMatrixCases), std::end(kMatrixCases),
+        [name](const MatrixProtocolCase& c) {
+          return std::string(c.name) == name;
+        });
+    ASSERT_NE(it, std::end(kMatrixCases));
+    const bool one_call = std::string(name) == "MP1";
+    for (RoutingPolicy policy : kOraclePolicies) {
+      SCOPED_TRACE(std::string(name) + " / " + PolicyName(policy));
+      Router router(kSites, policy, kSeed + 22);
+      const std::vector<size_t> sites = AssignSites(&router, kN);
+      auto replayed = it->make(kSites, kSeed + 11);
+      ReplayWindows(replayed.get(), sites, one_call, [&](size_t i) {
+        replayed->SiteUpdate(sites[i], rows[i]);
+      });
+      const MatrixRunResult want = FingerprintMatrix(*replayed);
+      EXPECT_GT(want.stats.total(), 0u);
+      for (size_t threads : {1u, 2u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ExpectIdentical(want, RunMatrix(*it, sites, rows, threads));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Driver plumbing.
 // ---------------------------------------------------------------------
 
