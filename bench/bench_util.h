@@ -32,6 +32,7 @@
 #include "hh/p2_threshold.h"
 #include "hh/p3_sampling.h"
 #include "hh/p4_randomized.h"
+#include "linalg/kernels.h"
 #include "matrix/baselines.h"
 #include "matrix/error.h"
 #include "matrix/matrix_protocol.h"
@@ -55,7 +56,8 @@ namespace bench {
 /// BENCH_parallel_sites.json and BENCH_serving_mixed.json both remain
 /// 1-core recordings with the degraded_environment marker set —
 /// re-record on multicore hardware before quoting concurrency numbers
-/// from them), and the DMT_SCALE in effect — then `body(f)`
+/// from them), the DMT_SCALE in effect and the instruction set the
+/// linalg kernels dispatched to — then `body(f)`
 /// appends the bench-specific fields (two-space indented, no trailing
 /// comma on the last one) before the closing brace. The JSON goes to
 /// stdout and, when `path` is non-null, to that file too (the repo keeps
@@ -81,6 +83,8 @@ inline void EmitBenchJson(const char* path, const char* bench_name,
     }
     std::fprintf(f, "  \"scale\": \"%s\",\n",
                  GetEnvString("DMT_SCALE", "default").c_str());
+    std::fprintf(f, "  \"kernel_isa\": \"%s\",\n",
+                 linalg::kernels::SelectedIsa());
     body(f);
     std::fprintf(f, "}\n");
   };

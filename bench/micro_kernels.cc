@@ -15,14 +15,27 @@
 //    events/sec through the warm-started in-place pipeline, and the cost
 //    of one cold RightSingularOf-based shrink of the same buffer shape
 //    for comparison.
+//  * symmetric_eigen: MP1's coordinator shrink at eps = 0.1 on PAMAP's
+//    d = 44 (ell = 20, so a full buffer is 4 ell = 80 rows and the solve
+//    wants ell + 1 = 21 pairs): microseconds per call, fastest single
+//    call of N, for the blocked 44 x 44 Gram, for the Householder-QL
+//    solve of it (SymmetricEigenInPlace), and for the whole
+//    LanczosSolver::TopKOfRows call the shrink makes (its dense route at
+//    this shape: Gram, QL and a residual GEMM).
+//
+// The envelope records the instruction set the kernels dispatched to.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
+#include "data/synthetic_matrix.h"
 #include "linalg/kernels.h"
+#include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/svd.h"
+#include "linalg/symmetric_eigen.h"
 #include "sketch/frequent_directions.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -139,6 +152,54 @@ ShrinkPoint MeasureShrink(size_t d, size_t ell, size_t n, Rng* rng) {
   return p;
 }
 
+struct EigenPoint {
+  size_t rows, dim, k;
+  const char* route;  // TopKOfRows' route at this shape
+  size_t calls;
+  double gram_us;
+  double eigen_us;
+  double top_k_us;
+};
+
+EigenPoint MeasureSymmetricEigen(size_t calls) {
+  const size_t n = 80, k = 21;
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(7));
+  const linalg::Matrix rows = gen.Take(n);
+  const size_t d = rows.cols();
+  std::vector<double> gram(d * d), work(d * d), lambda(d), scratch(d);
+  linalg::LanczosOptions opts;
+  opts.tol = 1e-11;  // the FD shrink's tolerance
+  linalg::LanczosSolver solver;
+  std::vector<double> vals;
+  linalg::Matrix vecs;
+  EigenPoint p{n, d, k,
+               linalg::LanczosSolver::UsesDenseRoute(d, k, opts) ? "dense"
+                                                                 : "krylov",
+               calls, 1e100, 1e100, 1e100};
+  const auto fastest = [](double* best, const Timer& t) {
+    *best = std::min(*best, t.Seconds() * 1e6);
+  };
+  for (size_t c = 0; c < calls; ++c) {
+    Timer gram_t;
+    kn::Gram(rows.Row(0), n, d, gram.data());
+    fastest(&p.gram_us, gram_t);
+    std::copy(gram.begin(), gram.end(), work.begin());
+    Timer eigen_t;
+    const bool ok = linalg::SymmetricEigenInPlace(work.data(), d,
+                                                  lambda.data(),
+                                                  scratch.data());
+    fastest(&p.eigen_us, eigen_t);
+    DMT_CHECK(ok);
+    Timer top_k_t;
+    const linalg::LanczosInfo info =
+        solver.TopKOfRows(rows, k, &vals, &vecs, opts);
+    fastest(&p.top_k_us, top_k_t);
+    DMT_CHECK(info.converged);
+  }
+  return p;
+}
+
 void PrintKernelPoints(FILE* f, const char* name,
                        const std::vector<KernelPoint>& points, bool last) {
   std::fprintf(f, "  \"%s\": [\n", name);
@@ -183,6 +244,8 @@ int main(int argc, char** argv) {
   const size_t shrink_rows =
       static_cast<size_t>(ScaledN(40000, 2, 20));
   ShrinkPoint shrink = MeasureShrink(64, 32, shrink_rows, &rng);
+  const EigenPoint eigen =
+      MeasureSymmetricEigen(scale == Scale::kSmall ? 20 : 400);
 
   bench::EmitBenchJson(out_path, "micro_kernels", [&](FILE* f) {
     std::fprintf(f,
@@ -196,10 +259,17 @@ int main(int argc, char** argv) {
         "  \"fd_shrink\": {\"dim\": %zu, \"ell\": %zu, \"rows\": %zu, "
         "\"rows_per_sec\": %.0f, \"shrink_events\": %zu, "
         "\"shrink_events_per_sec\": %.1f, "
-        "\"cold_shrink_seconds\": %.6f}\n",
+        "\"cold_shrink_seconds\": %.6f},\n",
         shrink.dim, shrink.ell, shrink.rows, shrink.rows_per_sec,
         shrink.shrink_events, shrink.shrink_events_per_sec,
         shrink.cold_shrink_seconds);
+    std::fprintf(
+        f,
+        "  \"symmetric_eigen\": {\"rows\": %zu, \"dim\": %zu, \"k\": %zu, "
+        "\"route\": \"%s\", \"calls\": %zu, \"gram_us\": %.2f, "
+        "\"eigen_us\": %.2f, \"top_k_of_rows_us\": %.2f}\n",
+        eigen.rows, eigen.dim, eigen.k, eigen.route, eigen.calls,
+        eigen.gram_us, eigen.eigen_us, eigen.top_k_us);
   });
 
   // Hard correctness gate so the smoke run fails loudly if the blocked

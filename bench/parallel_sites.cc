@@ -10,7 +10,14 @@
 //    bound), through stream::SimulationDriver at 1/2/4/8 requested
 //    threads, verifying bit-identical results across counts (messages +
 //    the coordinator's total-weight / Frobenius fingerprint) and reporting
-//    wall-clock speedups.
+//    wall-clock speedups. Each configuration runs kReps times, with the
+//    thread counts interleaved: repetition r runs every count once,
+//    starting at a rotated position, so a slow stretch of a shared host
+//    lands on all counts alike. Each point records the median and the
+//    min-max of its runs; speedups are ratios of medians, and
+//    `separates_from_serial` says whether the point's min-max range is
+//    clear of the 1-thread range. A speedup whose range overlaps the
+//    serial one is not resolved by the recording.
 //
 //  - m-sweep: P2 at m = 10^3..10^5 sites (10^4 at DMT_SCALE=small, 10^6
 //    at DMT_SCALE=paper) with
@@ -29,6 +36,7 @@
 //   DMT_SCALE=small|default|paper scales the stream lengths.
 // The JSON is printed to stdout and, when a path is given, written there
 // (the repo keeps a checked-in BENCH_parallel_sites.json).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -49,13 +57,29 @@ namespace {
 
 using namespace dmt;
 
+// Repetitions per fixed-workload configuration.
+constexpr size_t kReps = 9;
+
 struct RunPoint {
-  size_t threads;            // requested
-  size_t effective_threads;  // after DMT_THREADS / clamp resolution
-  double seconds;
+  size_t threads;               // requested
+  size_t effective_threads;     // after DMT_THREADS / clamp resolution
+  std::vector<double> seconds;  // wall clock of each repetition
   uint64_t messages;
   double fingerprint;  // coordinator total weight (bit-compared)
   stream::SchedulerStats sched;
+
+  double Median() const {
+    std::vector<double> s = seconds;
+    std::sort(s.begin(), s.end());
+    const size_t h = s.size() / 2;
+    return s.size() % 2 == 1 ? s[h] : 0.5 * (s[h - 1] + s[h]);
+  }
+  double Min() const {
+    return *std::min_element(seconds.begin(), seconds.end());
+  }
+  double Max() const {
+    return *std::max_element(seconds.begin(), seconds.end());
+  }
 };
 
 // Coordinator-state fingerprint, bit-compared across thread counts (the
@@ -68,28 +92,42 @@ inline double Fingerprint(const matrix::MP1BatchedFD& p) {
   return p.coordinator_frobenius();
 }
 
-// Best-of-`reps` wall clock for one driver configuration.
+// Times one driver configuration per thread count, `reps` times each,
+// interleaved: repetition r runs every count once, starting at count
+// r mod |thread_counts|. Every run must reproduce the first run's
+// messages and fingerprint bit for bit.
 template <typename MakeProtocol, typename Items>
-RunPoint TimeRun(MakeProtocol make, const std::vector<size_t>& sites,
-                 const Items& items, size_t threads, size_t chunk,
-                 int reps = 3) {
-  RunPoint point{threads, 0, 1e100, 0, 0.0, {}};
-  for (int rep = 0; rep < reps; ++rep) {
-    auto protocol = make();
-    stream::SimulationOptions opt;
-    opt.threads = threads;
-    opt.chunk_elements = chunk;
-    stream::SimulationDriver driver(opt);
-    Timer timer;
-    driver.Run(&protocol, sites, items);
-    const double s = timer.Seconds();
-    if (s < point.seconds) point.seconds = s;
-    point.effective_threads = driver.threads();
-    point.messages = protocol.comm_stats().total();
-    point.fingerprint = Fingerprint(protocol);
-    point.sched = driver.scheduler_stats();
+std::vector<RunPoint> TimeRuns(MakeProtocol make,
+                               const std::vector<size_t>& sites,
+                               const Items& items,
+                               const std::vector<size_t>& thread_counts,
+                               size_t chunk, size_t reps) {
+  std::vector<RunPoint> points;
+  for (size_t t : thread_counts) {
+    points.push_back(RunPoint{t, 0, {}, 0, 0.0, {}});
   }
-  return point;
+  const size_t n = points.size();
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (size_t j = 0; j < n; ++j) {
+      RunPoint& point = points[(j + rep) % n];
+      auto protocol = make();
+      stream::SimulationOptions opt;
+      opt.threads = point.threads;
+      opt.chunk_elements = chunk;
+      stream::SimulationDriver driver(opt);
+      Timer timer;
+      driver.Run(&protocol, sites, items);
+      point.seconds.push_back(timer.Seconds());
+      point.effective_threads = driver.threads();
+      point.messages = protocol.comm_stats().total();
+      point.fingerprint = Fingerprint(protocol);
+      point.sched = driver.scheduler_stats();
+      const RunPoint& first = points[0];  // ran first: rep 0, j 0
+      DMT_CHECK_EQ(point.messages, first.messages);
+      DMT_CHECK_EQ(point.fingerprint, first.fingerprint);
+    }
+  }
+  return points;
 }
 
 void PrintSched(FILE* f, const stream::SchedulerStats& s) {
@@ -109,14 +147,23 @@ void PrintWorkload(FILE* f, const char* name, size_t n, size_t m,
   std::fprintf(f, "      \"messages\": %llu,\n",
                static_cast<unsigned long long>(points[0].messages));
   std::fprintf(f, "      \"runs\": [\n");
-  const double serial = points[0].seconds;
+  const RunPoint& serial = points[0];
   for (size_t i = 0; i < points.size(); ++i) {
+    const RunPoint& p = points[i];
     std::fprintf(f,
                  "        {\"threads\": %zu, \"effective_threads\": %zu, "
-                 "\"seconds\": %.6f, \"speedup\": %.3f, ",
-                 points[i].threads, points[i].effective_threads,
-                 points[i].seconds, serial / points[i].seconds);
-    PrintSched(f, points[i].sched);
+                 "\"reps\": %zu, \"median_s\": %.6f, \"min_s\": %.6f, "
+                 "\"max_s\": %.6f, \"speedup\": %.3f, ",
+                 p.threads, p.effective_threads, p.seconds.size(),
+                 p.Median(), p.Min(), p.Max(),
+                 serial.Median() / p.Median());
+    if (i > 0) {
+      const bool separates =
+          p.Max() < serial.Min() || p.Min() > serial.Max();
+      std::fprintf(f, "\"separates_from_serial\": %s, ",
+                   separates ? "true" : "false");
+    }
+    PrintSched(f, p.sched);
     std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "      ]\n");
@@ -149,15 +196,8 @@ int main(int argc, char** argv) {
   const auto hh_runs = [&](stream::RoutingPolicy policy) {
     stream::Router router(hh_m, policy, 22);
     const std::vector<size_t> sites = stream::AssignSites(&router, hh_n);
-    std::vector<RunPoint> points;
-    for (size_t t : thread_counts) {
-      points.push_back(TimeRun(
-          [&] { return hh::P2Threshold(hh_m, 0.01); }, sites, items, t,
-          8192));
-      DMT_CHECK_EQ(points.back().messages, points.front().messages);
-      DMT_CHECK_EQ(points.back().fingerprint, points.front().fingerprint);
-    }
-    return points;
+    return TimeRuns([&] { return hh::P2Threshold(hh_m, 0.01); }, sites,
+                    items, thread_counts, 8192, kReps);
   };
   const std::vector<RunPoint> hh_points =
       hh_runs(stream::RoutingPolicy::kUniform);
@@ -174,17 +214,9 @@ int main(int argc, char** argv) {
   stream::Router mx_router(mx_m, stream::RoutingPolicy::kUniform, 24);
   const std::vector<size_t> mx_sites = stream::AssignSites(&mx_router, mx_n);
 
-  std::vector<RunPoint> mx_points;
-  for (size_t t : thread_counts) {
-    mx_points.push_back(TimeRun(
-        [&] {
-          return matrix::MP1BatchedFD(mx_m, 0.1);
-        },
-        mx_sites, rows, t, 4096,
-        /*reps=*/3));
-    DMT_CHECK_EQ(mx_points.back().messages, mx_points.front().messages);
-    DMT_CHECK_EQ(mx_points.back().fingerprint, mx_points.front().fingerprint);
-  }
+  const std::vector<RunPoint> mx_points =
+      TimeRuns([&] { return matrix::MP1BatchedFD(mx_m, 0.1); }, mx_sites,
+               rows, thread_counts, 4096, kReps);
 
   // m-sweep: P2 at large site counts, ~10 arrivals per site. This is the
   // regime the home-range scheduler exists for; the counters show
@@ -218,16 +250,10 @@ int main(int argc, char** argv) {
     stream::Router sr(m, stream::RoutingPolicy::kUniform, 32);
     const std::vector<size_t> ssites = stream::AssignSites(&sr, n);
 
-    SweepPoint point{m, n, {}};
-    for (size_t t : sweep_threads) {
-      point.runs.push_back(TimeRun(
-          [&] { return hh::P2Threshold(m, 0.05); }, ssites, sitems, t, 8192,
-          /*reps=*/1));
-      DMT_CHECK_EQ(point.runs.back().messages, point.runs.front().messages);
-      DMT_CHECK_EQ(point.runs.back().fingerprint,
-                   point.runs.front().fingerprint);
-    }
-    sweep.push_back(std::move(point));
+    sweep.push_back(SweepPoint{
+        m, n,
+        TimeRuns([&] { return hh::P2Threshold(m, 0.05); }, ssites, sitems,
+                 sweep_threads, 8192, /*reps=*/1)});
   }
 
   bench::EmitBenchJson(out_path, "parallel_sites", [&](FILE* f) {
@@ -250,7 +276,7 @@ int main(int argc, char** argv) {
                      "      {\"threads\": %zu, \"effective_threads\": %zu, "
                      "\"seconds\": %.6f, ",
                      p.runs[j].threads, p.runs[j].effective_threads,
-                     p.runs[j].seconds);
+                     p.runs[j].Median());
         PrintSched(f, p.runs[j].sched);
         std::fprintf(f, "}%s\n", j + 1 < p.runs.size() ? "," : "");
       }

@@ -61,6 +61,13 @@ void MirrorUpperToLower(double* g, size_t d) {
 
 }  // namespace
 
+const char* SelectedIsa() {
+#if DMT_KERNELS_SIMD_DISPATCH
+  if (UseAvx2()) return "avx2+fma";
+#endif
+  return "baseline";
+}
+
 DMT_NO_ALLOC
 void Gemm(const double* DMT_NOALIAS a, const double* DMT_NOALIAS b,
           double* DMT_NOALIAS c, size_t m, size_t k, size_t n) {

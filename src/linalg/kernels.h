@@ -121,6 +121,10 @@ void Transpose(const double* DMT_NOALIAS a, size_t rows, size_t cols,
 double SquaredNormAlong(const double* a, size_t n, size_t d,
                         const double* x);
 
+/// The clone the hot cores dispatch to in this process: "avx2+fma" or
+/// "baseline" (bench recordings carry it in their envelope).
+const char* SelectedIsa();
+
 }  // namespace kernels
 }  // namespace linalg
 }  // namespace dmt

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "linalg/svd.h"
 #include "stream/comm_stats.h"
 
 namespace dmt {
@@ -106,6 +107,26 @@ class MatrixTrackingProtocol {
   /// Default: CoordinatorSketch(), which already returns by value.
   virtual linalg::Matrix ExportSnapshotSketch() const {
     return CoordinatorSketch();
+  }
+
+  /// The snapshot sketch together with its right singular structure,
+  /// when the protocol already holds one (serve::BuildSnapshot calls this
+  /// instead of ExportSnapshotSketch). One call returns a consistent pair:
+  /// *sketch is ExportSnapshotSketch()'s deep copy, and on true *factors
+  /// factors exactly that matrix in RightSingularOf's layout —
+  /// r = min(rows, cols) squared singular values, descending, and v
+  /// cols x r with the matching right singular vectors as columns. On
+  /// false *factors is unspecified and the snapshot factors *sketch
+  /// itself (one QL solve). Same threading contract as CoordinatorSketch().
+  /// Default: ExportSnapshotSketch() and false. MP1 overrides it with its
+  /// coordinator FD's last shrink (FrequentDirections::FactoredSketch). A
+  /// forwarding proxy that does not override it inherits the default, so
+  /// its snapshots stay correct and only pay the solve.
+  virtual bool ExportSnapshotFactors(linalg::Matrix* sketch,
+                                     linalg::RightSingular* factors) const {
+    (void)factors;
+    *sketch = ExportSnapshotSketch();
+    return false;
   }
 
   /// Communication counters so far.

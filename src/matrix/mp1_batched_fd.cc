@@ -83,6 +83,12 @@ linalg::Matrix MP1BatchedFD::CoordinatorSketch() const {
   return coordinator_sketch_.sketch();
 }
 
+bool MP1BatchedFD::ExportSnapshotFactors(
+    linalg::Matrix* sketch, linalg::RightSingular* factors) const {
+  *sketch = coordinator_sketch_.sketch();
+  return coordinator_sketch_.FactoredSketch(factors);
+}
+
 const stream::CommStats& MP1BatchedFD::comm_stats() const {
   return network_.stats();
 }

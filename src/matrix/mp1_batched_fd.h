@@ -16,6 +16,13 @@
 // A drain of one site with one flush — ProcessRow — is the flush-by-flush
 // merge bit for bit.
 //
+// Serving: when a window's batch ends on a shrink (89–98 of the 126
+// windows of pipebench's matrix_mp1_pamap pass, by seed), the
+// coordinator sketch is B = Σ̃Vᵀ from that shrink's solve, and
+// ExportSnapshotFactors hands the snapshot those σ and V instead of
+// having it factor B again. The other windows hold rows merged since the
+// last shrink, and the snapshot solves for their factors itself.
+//
 // Guarantee: |‖Ax‖² − ‖Bx‖²| ≤ ε‖A‖²_F with O((m/ε²) log(βN)) rows of
 // communication.
 #ifndef DMT_MATRIX_MP1_BATCHED_FD_H_
@@ -47,6 +54,10 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
     return outbox_[site].size();
   }
   linalg::Matrix CoordinatorSketch() const override;
+  /// The coordinator FD's sketch, factored when it is exactly the output
+  /// of its last shrink (FrequentDirections::FactoredSketch).
+  bool ExportSnapshotFactors(linalg::Matrix* sketch,
+                             linalg::RightSingular* factors) const override;
   const stream::CommStats& comm_stats() const override;
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();

@@ -30,20 +30,30 @@ void FinishHHSection(std::vector<HHEntry> by_element, Snapshot* snap) {
   }
 }
 
-// Factors the sketch B = UΣVᵀ into the snapshot's σ / V query structures.
-// Queries never need U, so this is RightSingularOf: one Householder-QL
-// solve of the d x d Gram for every sketch shape (MP2's tall coordinator
-// sketch and MP1's short FD buffer alike), keeping r = min(rows, cols)
+// Fills the snapshot's σ / V query structures of the sketch B = UΣVᵀ.
+// Queries never need U. `factors` is the protocol's own factorization of
+// B when it holds one (MatrixTrackingProtocol::ExportSnapshotFactors:
+// MP1's FD sketch right after a shrink), taken as is. Otherwise (nullptr)
+// this runs RightSingularOf: one Householder-QL solve of the d x d Gram,
+// whatever the shape (MP2's tall coordinator sketch, an FD buffer with
+// rows appended since its last shrink), keeping r = min(rows, cols)
 // pairs. An empty sketch (no rows yet, or a zero-row FD buffer) leaves
 // them empty — the QueryEngine's documented empty-state answers apply.
-void FinishMatrixSection(linalg::Matrix sketch, Snapshot* snap) {
+void FinishMatrixSection(linalg::Matrix sketch, linalg::RightSingular* factors,
+                         Snapshot* snap) {
   snap->has_matrix = true;
   snap->sketch = std::move(sketch);
   snap->sketch_sq_frob = snap->sketch.SquaredFrobeniusNorm();
   if (snap->sketch.empty()) return;
-  linalg::RightSingular rs = linalg::RightSingularOf(snap->sketch);
-  snap->sigma.resize(rs.squared_sigma.size());
-  for (size_t i = 0; i < rs.squared_sigma.size(); ++i) {
+  linalg::RightSingular rs = factors != nullptr
+                                 ? std::move(*factors)
+                                 : linalg::RightSingularOf(snap->sketch);
+  const size_t r = std::min(snap->sketch.rows(), snap->sketch.cols());
+  DMT_CHECK_EQ(rs.squared_sigma.size(), r);
+  DMT_CHECK_EQ(rs.v.rows(), snap->sketch.cols());
+  DMT_CHECK_EQ(rs.v.cols(), r);
+  snap->sigma.resize(r);
+  for (size_t i = 0; i < r; ++i) {
     snap->sigma[i] = std::sqrt(rs.squared_sigma[i]);
   }
   snap->right_vectors = std::move(rs.v);
@@ -78,7 +88,11 @@ std::unique_ptr<const Snapshot> BuildSnapshot(
   auto snap = std::make_unique<Snapshot>();
   snap->window_index = window_index;
   snap->items_ingested = items_ingested;
-  FinishMatrixSection(protocol.ExportSnapshotSketch(), snap.get());
+  linalg::Matrix sketch;
+  linalg::RightSingular factors;
+  const bool factored = protocol.ExportSnapshotFactors(&sketch, &factors);
+  FinishMatrixSection(std::move(sketch), factored ? &factors : nullptr,
+                      snap.get());
   return snap;
 }
 

@@ -12,6 +12,8 @@
 //  * matrix — the coordinator sketch B with its factorization B = UΣVᵀ
 //    (σ descending, V's columns the right singular vectors), so low-rank
 //    projection and top-k direction queries never decompose at read time.
+//    The protocol supplies σ and V when it already holds them (MP1 right
+//    after an FD shrink); otherwise the builder solves for them.
 //
 // Snapshots are built on the ingestion thread at window boundaries
 // (serve::ServingCoordinator) and published through serve::SnapshotStore;
@@ -83,8 +85,10 @@ std::unique_ptr<const Snapshot> BuildSnapshot(
     const hh::HeavyHitterProtocol& protocol, uint64_t window_index,
     uint64_t items_ingested);
 
-/// Exports a matrix protocol's coordinator sketch and factors it. Must be
-/// called between synchronization rounds.
+/// Exports a matrix protocol's coordinator sketch with its factorization
+/// (MatrixTrackingProtocol::ExportSnapshotFactors), and factors the
+/// sketch itself only when the protocol holds none. Must be called
+/// between synchronization rounds.
 std::unique_ptr<const Snapshot> BuildSnapshot(
     const matrix::MatrixTrackingProtocol& protocol, uint64_t window_index,
     uint64_t items_ingested);

@@ -10,6 +10,17 @@
 
 namespace dmt {
 namespace sketch {
+namespace {
+
+// A kept eigenvalue after the shrink, lambda - delta clamped at 0 (a
+// near-tied lambda_ell ~ lambda_{ell+1} can leave the difference a
+// roundoff hair negative). The row rebuild and FactoredSketch share it,
+// so each reported sigma^2 has exactly its row's scale as square root.
+double ShrunkEigenvalue(double lambda, double delta) {
+  return std::max(0.0, lambda - delta);
+}
+
+}  // namespace
 
 FrequentDirections::FrequentDirections(size_t ell, size_t dim)
     : ell_(ell), dim_(dim), backend_(DefaultShrinkBackend()) {
@@ -37,6 +48,7 @@ void FrequentDirections::Append(const double* row, size_t n) {
   if (dim_ == 0) dim_ = n;
   DMT_CHECK_EQ(n, dim_);
   buffer_.AppendRow(row, n);
+  factored_ = false;
   stream_sq_frob_ += linalg::SquaredNorm(row, n);
   ShrinkIfNeeded();
 }
@@ -109,6 +121,7 @@ void FrequentDirections::AppendBulk(const linalg::Matrix& rows,
     if (buffer_.rows() >= cap) Shrink();
     const size_t take = std::min(n - i, cap - buffer_.rows());
     buffer_.AppendRows(rows.Row(i), take, dim_);
+    factored_ = false;
     if (add_row_mass) {
       for (size_t r = i; r < i + take; ++r) {
         stream_sq_frob_ += linalg::SquaredNorm(rows.Row(r), dim_);
@@ -161,10 +174,13 @@ bool FrequentDirections::ShrinkLanczos(size_t basis_size) {
   // the buffer's shape and basis_size.
   const linalg::LanczosInfo info =
       eigensolver_.TopKOfRows(buffer_, k, &eigenvalues_, &eigenvectors_, opts);
+  // The pairs just overwritten factor the rows rebuilt below only when
+  // the solve converged; a failed Krylov solve leaves the rows as they
+  // were, and they held appended rows anyway.
+  factored_ = info.converged;
   if (!info.converged && basis_size != d) return false;
 
-  const double delta =
-      ell_ < d ? std::max(0.0, eigenvalues_[ell_]) : 0.0;
+  const double delta = ShrinkCutoff();
   total_shrinkage_ += delta;
 
   size_t kept = 0;
@@ -180,15 +196,31 @@ bool FrequentDirections::ShrinkLanczos(size_t basis_size) {
   warm_seed_valid_ = true;
 
   for (size_t i = 0; i < kept; ++i) {
-    // Clamp before the sqrt: near-tied lambda_ell ~ lambda_{ell+1} can
-    // leave the difference a roundoff hair negative.
-    const double lam = std::max(0.0, eigenvalues_[i] - delta);
-    const double scale = std::sqrt(lam);
+    const double scale = std::sqrt(ShrunkEigenvalue(eigenvalues_[i], delta));
     const double* v = eigenvectors_.Row(i);
     double* row = buffer_.Row(i);
     for (size_t j = 0; j < d; ++j) row[j] = scale * v[j];
   }
   buffer_.ResizeRows(kept);
+  return true;
+}
+
+double FrequentDirections::ShrinkCutoff() const {
+  return ell_ < dim_ ? std::max(0.0, eigenvalues_[ell_]) : 0.0;
+}
+
+bool FrequentDirections::FactoredSketch(linalg::RightSingular* out) const {
+  if (!factored_) return false;
+  const size_t r = buffer_.rows();  // the shrink's `kept`
+  DMT_CHECK_LE(r, eigenvectors_.rows());
+  const double delta = ShrinkCutoff();
+  out->squared_sigma.resize(r);
+  out->v = linalg::Matrix(dim_, r);
+  for (size_t i = 0; i < r; ++i) {
+    out->squared_sigma[i] = ShrunkEigenvalue(eigenvalues_[i], delta);
+    const double* v = eigenvectors_.Row(i);
+    for (size_t j = 0; j < dim_; ++j) out->v(j, i) = v[j];
+  }
   return true;
 }
 

@@ -29,6 +29,15 @@
 //    sqrt(lambda') * v^T in place), numerically equivalent to the SVD
 //    formulation in the paper; tests/fd_shrink_test.cc pins both against
 //    a cold reference SVD of every buffer and against each other.
+//  * Factored state: right after a shrink the rows are B = Σ̃Vᵀ, row i
+//    being sqrt(lambda_i - delta) v_i^T from the shrink's own solve, so
+//    B's right singular structure is already known. FactoredSketch()
+//    hands it out, bit for bit the factors the rows were built from,
+//    until the next row enters the buffer (Append, AppendRows, a Merge
+//    with a non-empty part). A shrink whose solve did not converge
+//    (non-finite rows) leaves no factorization. The eigenpairs persist
+//    until the next shrink anyway, so this costs the shrink nothing.
+//    Protocol MP1 forwards it to its serving snapshots.
 //  * Sketches are mergeable [Agarwal et al. 2012]: errors add, so a
 //    sketch merged from parts satisfies the bound for the parts' streams
 //    stacked, under any grouping of the merges. AppendRows and both
@@ -46,6 +55,7 @@
 
 #include "linalg/lanczos.h"
 #include "linalg/matrix.h"
+#include "linalg/svd.h"
 
 namespace dmt {
 namespace sketch {
@@ -101,6 +111,15 @@ class FrequentDirections {
   /// Current sketch rows (between ell and 2*ell rows; call Compress() first
   /// if a hard ell-row budget is required).
   const linalg::Matrix& sketch() const { return buffer_; }
+
+  /// The sketch's right singular structure, when its rows are exactly the
+  /// output of the last shrink (no row has entered since, and that
+  /// shrink's solve converged): `squared_sigma` holds rows() values,
+  /// descending, each max(0, lambda_i - delta) as in the row rebuild, and
+  /// `v` is dim() x rows() with column i the eigenvector row i was built
+  /// from. So sketch()(i, j) == sqrt(squared_sigma[i]) * v(j, i) exactly.
+  /// Returns false, leaving *out untouched, in any other state.
+  bool FactoredSketch(linalg::RightSingular* out) const;
 
   /// ‖Bx‖² for unit-vector queries (x length dim()). Guarantee: for the
   /// stream matrix A, 0 ≤ ‖Ax‖² − ‖Bx‖² ≤ total_shrinkage()
@@ -159,6 +178,8 @@ class FrequentDirections {
   /// Krylov solve missed its residual test. A dense solve is applied as
   /// computed: it only reports unconverged on non-finite rows.
   bool ShrinkLanczos(size_t basis_size);
+  /// The last solve's cutoff delta = lambda_{ell+1} (0 when ell >= d).
+  double ShrinkCutoff() const;
 
   size_t ell_;
   size_t dim_;
@@ -175,6 +196,9 @@ class FrequentDirections {
   linalg::Matrix eigenvectors_;       // (ell+1) x d eigenvector rows
   std::vector<double> warm_seed_;     // previous shrink's leading vector
   bool warm_seed_valid_ = false;      // warm_seed_ holds a real eigenvector
+  // buffer_ is exactly the last shrink's output, built from a converged
+  // solve whose pairs are still in eigenvalues_ / eigenvectors_.
+  bool factored_ = false;
 };
 
 }  // namespace sketch

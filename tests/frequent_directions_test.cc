@@ -1,6 +1,8 @@
 #include "sketch/frequent_directions.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "linalg/spectral.h"
 #include "linalg/symmetric_eigen.h"
 #include "linalg/vec_ops.h"
+#include "reference_eigen.h"
 #include "util/rng.h"
 
 namespace dmt {
@@ -378,6 +381,204 @@ TEST(FrequentDirectionsTest, BatchMergeOfSelfMatchesMergeOfCopies) {
   EXPECT_EQ(aliased.stream_squared_frobenius(),
             plain.stream_squared_frobenius());
   EXPECT_EQ(aliased.total_shrinkage(), plain.total_shrinkage());
+}
+
+// FactoredSketch holds, and its factors rebuild the rows exactly: row i
+// is sqrt(squared_sigma[i]) times column i of v, bit for bit, with one
+// descending sigma^2 per row. Returns the factors through *out.
+void ExpectFactorsRebuildRows(const FrequentDirections& fd,
+                              linalg::RightSingular* out) {
+  ASSERT_TRUE(fd.FactoredSketch(out));
+  const linalg::RightSingular& f = *out;
+  ASSERT_EQ(f.squared_sigma.size(), fd.rows());
+  ASSERT_EQ(f.v.rows(), fd.dim());
+  ASSERT_EQ(f.v.cols(), fd.rows());
+  size_t mismatches = 0;
+  for (size_t i = 0; i < fd.rows(); ++i) {
+    if (i > 0) {
+      EXPECT_LE(f.squared_sigma[i], f.squared_sigma[i - 1]);
+    }
+    const double sigma = std::sqrt(f.squared_sigma[i]);
+    for (size_t j = 0; j < fd.dim(); ++j) {
+      if (fd.sketch()(i, j) != sigma * f.v(j, i)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+void ExpectFactorsRebuildRows(const FrequentDirections& fd) {
+  linalg::RightSingular f;
+  ExpectFactorsRebuildRows(fd, &f);
+}
+
+std::vector<double> GaussianRow(size_t d, Rng* rng) {
+  std::vector<double> row(d);
+  for (double& v : row) v = rng->NextGaussian();
+  return row;
+}
+
+// Right after a shrink the rows are that shrink's own sigma-scaled
+// eigenvectors, and FactoredSketch hands out exactly those factors: after
+// Compress(), after the streaming shrink at 2*ell rows, and after a bulk
+// append whose last shrink is its final one — on the Krylov route and on
+// the dense one.
+TEST(FrequentDirectionsTest, FactoredSketchRebuildsTheRowsAfterAShrink) {
+  const size_t ell = 4, d = 48;  // Krylov route: 2 * 5 + 8 < d
+  for (FdShrinkBackend backend :
+       {FdShrinkBackend::kLanczos, FdShrinkBackend::kDense}) {
+    SCOPED_TRACE(backend == FdShrinkBackend::kLanczos ? "lanczos" : "dense");
+    Rng rng(21);
+    FrequentDirections fd(ell, d);
+    fd.set_shrink_backend(backend);
+    linalg::RightSingular f;
+    EXPECT_FALSE(fd.FactoredSketch(&f));  // nothing shrunk yet
+    fd.AppendRows(linalg::RandomGaussianMatrix(ell + 3, d, &rng));
+    EXPECT_FALSE(fd.FactoredSketch(&f));
+    fd.Compress();
+    ASSERT_EQ(fd.shrink_count(), 1u);
+    ExpectFactorsRebuildRows(fd);
+
+    // Row at a time up to the streaming shrink at 2*ell rows.
+    fd.Append(GaussianRow(d, &rng));
+    EXPECT_FALSE(fd.FactoredSketch(&f));
+    while (fd.shrink_count() == 1) fd.Append(GaussianRow(d, &rng));
+    ExpectFactorsRebuildRows(fd);
+
+    // A bulk append that shrinks at the 4*ell capacity mid-batch and
+    // once more at the end.
+    const size_t before = fd.shrink_count();
+    fd.AppendRows(linalg::RandomGaussianMatrix(5 * ell, d, &rng));
+    ASSERT_EQ(fd.shrink_count(), before + 2);
+    ExpectFactorsRebuildRows(fd);
+    EXPECT_EQ(fd.lanczos_fallback_count(), 0u);
+  }
+}
+
+// Any row entering the buffer ends the factored state — through Append,
+// AppendRows or a Merge with a non-empty part. A merge that brings no
+// rows, or an empty AppendRows, keeps it.
+TEST(FrequentDirectionsTest, FactoredSketchEndsWhenARowEnters) {
+  const size_t ell = 4, d = 10;
+  Rng rng(22);
+  FrequentDirections shrunk(ell, d);
+  shrunk.AppendRows(linalg::RandomGaussianMatrix(ell + 3, d, &rng));
+  shrunk.Compress();
+  ExpectFactorsRebuildRows(shrunk);
+  const Matrix one = linalg::RandomGaussianMatrix(1, d, &rng);
+  FrequentDirections part(ell, d);
+  part.AppendRows(one);
+  linalg::RightSingular f;
+
+  FrequentDirections appended = shrunk;
+  appended.Append(one.Row(0), d);
+  EXPECT_FALSE(appended.FactoredSketch(&f));
+
+  FrequentDirections bulk = shrunk;
+  bulk.AppendRows(one);
+  EXPECT_FALSE(bulk.FactoredSketch(&f));
+
+  FrequentDirections merged = shrunk;
+  merged.Merge(part);
+  EXPECT_FALSE(merged.FactoredSketch(&f));
+
+  FrequentDirections batch_merged = shrunk;
+  const FrequentDirections no_rows(ell, d);
+  const FrequentDirections* with_rows[] = {&no_rows, &part};
+  batch_merged.Merge(with_rows, 2);
+  EXPECT_FALSE(batch_merged.FactoredSketch(&f));
+
+  // Parts without rows, of unknown and of known dimension.
+  FrequentDirections kept = shrunk;
+  const FrequentDirections no_dim(ell);
+  const FrequentDirections* empties[] = {&no_dim, &no_rows};
+  kept.Merge(empties, 2);
+  kept.Merge(no_rows);
+  kept.AppendRows(Matrix());
+  ExpectSameRows(kept, shrunk);
+  ExpectFactorsRebuildRows(kept);
+}
+
+// On the Krylov route (MSD-like d = 90, ell = 20: 2 ell + 10 < d) the
+// factors are Ritz pairs of the buffer, not a QL solve. They must still
+// be the sketch's own singular structure: V orthonormal to 1e-13, and
+// sigma and sigma-scaled V equal to a reference SVD of the stored rows to
+// 1e-10 sigma_1 (V up to sign, wherever sigma^2 is separated).
+TEST(FrequentDirectionsTest, KrylovFactorsMatchAReferenceSvdOfTheSketch) {
+  const size_t ell = 20;
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::MsdLike(3));
+  FrequentDirections fd(ell);
+  fd.set_shrink_backend(FdShrinkBackend::kLanczos);
+  fd.AppendRows(gen.Take(400));
+  fd.Compress();
+  const size_t d = fd.dim();
+  ASSERT_EQ(d, 90u);
+  ASSERT_FALSE(linalg::LanczosSolver::UsesDenseRoute(d, ell + 1));
+  EXPECT_EQ(fd.lanczos_fallback_count(), 0u);
+  linalg::RightSingular f;
+  ExpectFactorsRebuildRows(fd, &f);
+  const size_t r = fd.rows();
+  ASSERT_EQ(r, ell);
+
+  double worst_ortho = 0.0;
+  for (size_t a = 0; a < r; ++a) {
+    for (size_t b = 0; b < r; ++b) {
+      double dot = 0.0;
+      for (size_t j = 0; j < d; ++j) dot += f.v(j, a) * f.v(j, b);
+      worst_ortho =
+          std::max(worst_ortho, std::fabs(dot - (a == b ? 1.0 : 0.0)));
+    }
+  }
+  EXPECT_LE(worst_ortho, 1e-13);
+
+  const linalg::ReferenceSvdResult ref = linalg::ReferenceSvd(fd.sketch());
+  ASSERT_EQ(ref.sigma.size(), r);
+  const double s1 = ref.sigma[0];
+  size_t separated = 0;
+  for (size_t i = 0; i < r; ++i) {
+    const double sigma = std::sqrt(f.squared_sigma[i]);
+    EXPECT_NEAR(sigma, ref.sigma[i], 1e-10 * s1) << "sigma " << i;
+    const double li = ref.sigma[i] * ref.sigma[i];
+    double gap = s1 * s1;
+    if (i > 0) gap = std::min(gap, ref.sigma[i - 1] * ref.sigma[i - 1] - li);
+    if (i + 1 < r) {
+      gap = std::min(gap, li - ref.sigma[i + 1] * ref.sigma[i + 1]);
+    }
+    if (gap < 1e-3 * s1 * s1) continue;
+    double dot = 0.0;
+    for (size_t j = 0; j < d; ++j) dot += f.v(j, i) * ref.v(j, i);
+    const double sign = dot < 0.0 ? -1.0 : 1.0;
+    for (size_t j = 0; j < d; ++j) {
+      EXPECT_NEAR(sigma * f.v(j, i), sign * ref.sigma[i] * ref.v(j, i),
+                  1e-10 * s1)
+          << "V(" << j << ", " << i << ")";
+    }
+    ++separated;
+  }
+  EXPECT_GE(separated, 3u);
+}
+
+// A shrink over a non-finite buffer is applied as computed but factors
+// nothing, so a snapshot of it falls back to its own solve.
+TEST(FrequentDirectionsTest, NonFiniteShrinkLeavesNoFactorization) {
+  const size_t ell = 4, d = 48;
+  for (FdShrinkBackend backend :
+       {FdShrinkBackend::kLanczos, FdShrinkBackend::kDense}) {
+    SCOPED_TRACE(backend == FdShrinkBackend::kLanczos ? "lanczos" : "dense");
+    Rng rng(23);
+    FrequentDirections fd(ell, d);
+    fd.set_shrink_backend(backend);
+    fd.AppendRows(linalg::RandomGaussianMatrix(ell + 3, d, &rng));
+    fd.Compress();
+    ExpectFactorsRebuildRows(fd);
+    Matrix bad = linalg::RandomGaussianMatrix(2 * ell, d, &rng);
+    bad(3, 7) = std::numeric_limits<double>::quiet_NaN();
+    fd.AppendRows(bad);  // crosses 2*ell: the final shrink sees the NaN
+    EXPECT_EQ(fd.shrink_count(), 2u);
+    linalg::RightSingular f;
+    EXPECT_FALSE(fd.FactoredSketch(&f));
+    EXPECT_TRUE(f.squared_sigma.empty());  // left untouched
+  }
 }
 
 TEST(FrequentDirectionsTest, LowRankInputRecoveredNearlyExactly) {

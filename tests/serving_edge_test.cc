@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataset.h"
 #include "data/synthetic_matrix.h"
 #include "hh/p1_batched_mg.h"
 #include "linalg/spectral.h"
@@ -23,7 +24,11 @@
 #include "matrix/mp2_svd_threshold.h"
 #include "reference_eigen.h"
 #include "serve/query_engine.h"
+#include "serve/serving_coordinator.h"
 #include "serve/snapshot.h"
+#include "serve/snapshot_store.h"
+#include "stream/router.h"
+#include "stream/simulation_driver.h"
 #include "util/rng.h"
 
 namespace dmt {
@@ -240,6 +245,66 @@ TEST(ServingEdgeTest, SnapshotFactorizationMatchesReferenceSvd) {
   ASSERT_GT(mp1_snap->sketch.rows(), 0u);
   ASSERT_LT(mp1_snap->sketch.rows(), mp1_snap->sketch.cols());
   EXPECT_GE(ExpectSnapshotMatchesReferenceSvd(*mp1_snap), 3u);
+}
+
+// MP1 publishes the σ and V of its coordinator FD's last shrink whenever
+// a window's batch ended on one (ExportSnapshotFactors returns true), and
+// solves for them otherwise. On factored windows σ·Vᵀ is the stored sketch
+// bit for bit, which a second factorization misses by rounding; on every
+// window the snapshot holds the sketch's singular structure, whichever
+// path built it. PAMAP-like rows over 32 sites at the benchmark's chunk:
+// long enough that some windows merge flushes without ending on a shrink,
+// so rows have entered the sketch since its last factorization.
+TEST(ServingEdgeTest, Mp1SnapshotReusesItsShrinkFactorization) {
+  const size_t sites = 32, n = 6000;
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(7));
+  const linalg::Matrix rows = gen.Take(n);
+  data::DatasetInfo info;
+  info.name = "pamap-like";
+  info.dim = rows.cols();
+  info.rows = n;
+  data::MaterializedSource source(info, rows);
+  stream::Router router(sites, stream::RoutingPolicy::kUniform, 8);
+  matrix::MP1BatchedFD protocol(sites, 0.1);
+  stream::SimulationOptions opt;
+  opt.threads = 2;
+  opt.chunk_elements = 96;
+  stream::SimulationDriver driver(opt);
+  serve::SnapshotStore store;
+  serve::ServingCoordinator serving(&store);
+  serving.AttachMatrix(&driver, &protocol);
+
+  size_t factored = 0, solved_after_a_shrink = 0;
+  serving.set_publish_observer([&](const serve::Snapshot& snap) {
+    linalg::Matrix sketch;
+    linalg::RightSingular factors;
+    const bool own = protocol.ExportSnapshotFactors(&sketch, &factors);
+    ASSERT_EQ(sketch.rows(), snap.sketch.rows());
+    if (snap.sketch.empty()) return;
+    const size_t r = snap.sketch.rows(), d = snap.sketch.cols();
+    if (own) {
+      ++factored;
+      ASSERT_EQ(snap.sigma.size(), r);
+      ASSERT_EQ(snap.right_vectors.cols(), r);
+      size_t mismatches = 0;
+      for (size_t i = 0; i < r; ++i) {
+        for (size_t j = 0; j < d; ++j) {
+          if (snap.sketch(i, j) != snap.sigma[i] * snap.right_vectors(j, i)) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "window " << snap.window_index;
+    } else if (protocol.coordinator_shrink_count() > 0) {
+      ++solved_after_a_shrink;
+    }
+    ExpectSnapshotMatchesReferenceSvd(snap);
+  });
+  EXPECT_EQ(driver.Run(&protocol, &router, &source), n);
+  serving.Detach();
+  EXPECT_GT(factored, 0u);
+  EXPECT_GT(solved_after_a_shrink, 0u);
 }
 
 // The Gram route's stated accuracy (linalg/svd.h): sigma_i^2 to about
