@@ -53,8 +53,8 @@ void MP1BatchedFD::EmitFlush(size_t site) {
 void MP1BatchedFD::SynchronizeSites(const uint32_t* sites, size_t count) {
   // F_C and the F-hat broadcasts depend only on the Frobenius sums, so
   // they run flush by flush as in Algorithm 5.2; the sketches merge as
-  // one batch, which shrinks once per buffer fill instead of once per
-  // flush that crosses 2*ell rows.
+  // one batch, which shrinks at most once instead of once per flush that
+  // crosses 2*ell rows.
   merge_batch_.clear();
   for (size_t i = 0; i < count; ++i) {
     for (const PendingFlush& flush : outbox_[sites[i]]) {

@@ -9,14 +9,14 @@
 // F-hat on (1 + eps/2)-factor growth.
 //
 // The coordinator merges all of a window's flushes as one FD batch
-// (FrequentDirections::Merge over the list), so it shrinks once per
-// buffer fill rather than once per flush. Messages and broadcasts are
-// those of the flush-by-flush merge: they depend only on the exact
-// Frobenius sums F_i and F_C, which are still accounted flush by flush.
-// A drain of one site with one flush — ProcessRow — is the flush-by-flush
-// merge bit for bit.
+// (FrequentDirections::Merge over the list), which is one shrink of the
+// stacked rows, so it shrinks at most once per window rather than once
+// per flush. Messages and broadcasts are those of the flush-by-flush
+// merge: they depend only on the exact Frobenius sums F_i and F_C, which
+// are still accounted flush by flush. A drain of one site with one flush
+// — ProcessRow — is the flush-by-flush merge bit for bit.
 //
-// Serving: when a window's batch ends on a shrink (89–98 of the 126
+// Serving: when a window's batch ends on a shrink (124–125 of the 126
 // windows of pipebench's matrix_mp1_pamap pass, by seed), the
 // coordinator sketch is B = Σ̃Vᵀ from that shrink's solve, and
 // ExportSnapshotFactors hands the snapshot those σ and V instead of

@@ -9,21 +9,32 @@ namespace {
 
 constexpr char kMagic[4] = {'D', 'M', 'T', 'W'};
 
-// Table-driven CRC-32, table built once per process (deterministic: the
-// table depends only on the polynomial).
-const uint32_t* CrcTable() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+// Slice-by-8 CRC-32 tables, built once per process (deterministic: they
+// depend only on the polynomial). t[0] is the bytewise table, and t[k] is
+// t[0] followed by k zero bytes, so one step folds 8 bytes with one
+// lookup per byte.
+struct CrcTables {
+  uint32_t t[8][256];
+
+  CrcTables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
     }
-    return t;
-  }();
-  return table;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+      }
+    }
+  }
+};
+
+const CrcTables& Crc() {
+  static const CrcTables tables;
+  return tables;
 }
 
 }  // namespace
@@ -34,11 +45,18 @@ bool IsKnownMsgType(uint8_t t) {
 }
 
 uint32_t Crc32(const uint8_t* data, size_t n) {
-  const uint32_t* table = CrcTable();
+  const auto& t = Crc().t;
+  const char* bytes = reinterpret_cast<const char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const uint32_t lo = c ^ GetLE<uint32_t>(bytes, i);
+    const uint32_t hi = GetLE<uint32_t>(bytes, i + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; i < n; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -61,54 +61,9 @@ void FrequentDirections::AppendRows(const linalg::Matrix& rows) {
   // it grows and shrinks would read through dangling row pointers.
   if (&rows == &buffer_) {
     const linalg::Matrix self_copy = buffer_;
-    AppendBulk(self_copy, /*add_row_mass=*/true);
-  } else {
-    AppendBulk(rows, /*add_row_mass=*/true);
+    AppendRows(self_copy);
+    return;
   }
-  ShrinkIfNeeded();  // restore the < 2*ell streaming invariant
-}
-
-void FrequentDirections::Merge(const FrequentDirections& other) {
-  const FrequentDirections* batch = &other;
-  Merge(&batch, 1);
-}
-
-void FrequentDirections::Merge(const FrequentDirections* const* others,
-                               size_t count) {
-  // Snapshots first: `this` may be in the batch (even twice), and the
-  // bulk loop below shrinks our buffer and bumps total_shrinkage_.
-  double merged_sq_frob = stream_sq_frob_;
-  double merged_shrinkage = 0.0;
-  linalg::Matrix self_copy;
-  for (size_t i = 0; i < count; ++i) {
-    const FrequentDirections& other = *others[i];
-    DMT_CHECK_EQ(ell_, other.ell_);
-    if (other.dim_ == 0) continue;
-    if (dim_ == 0) dim_ = other.dim_;
-    DMT_CHECK_EQ(dim_, other.dim_);
-    merged_sq_frob += other.stream_sq_frob_;
-    merged_shrinkage += other.total_shrinkage_;
-    if (&other == this) self_copy = buffer_;
-  }
-  // The parts' rows go through the bulk loop in batch order, so the batch
-  // shrinks exactly where AppendRows of the stacked rows would. The FD
-  // guarantee is unaffected: errors are additive under merge, and each
-  // shrink's cutoff is accounted in total_shrinkage_ as usual. A batch of
-  // one never reaches the 4*ell capacity (both sides hold < 2*ell rows),
-  // so it costs at most the final shrink.
-  for (size_t i = 0; i < count; ++i) {
-    const FrequentDirections& other = *others[i];
-    if (other.dim_ == 0) continue;
-    AppendBulk(&other == this ? self_copy : other.buffer_,
-               /*add_row_mass=*/false);
-  }
-  ShrinkIfNeeded();
-  stream_sq_frob_ = merged_sq_frob;
-  total_shrinkage_ += merged_shrinkage;
-}
-
-void FrequentDirections::AppendBulk(const linalg::Matrix& rows,
-                                    bool add_row_mass) {
   // Fill the buffer to its full capacity between shrinks, so a block of n
   // rows costs ~n / (capacity - ell) shrinks instead of the row-at-a-time
   // n / ell. Each shrink's cutoff is the (ell+1)-th eigenvalue of
@@ -122,13 +77,54 @@ void FrequentDirections::AppendBulk(const linalg::Matrix& rows,
     const size_t take = std::min(n - i, cap - buffer_.rows());
     buffer_.AppendRows(rows.Row(i), take, dim_);
     factored_ = false;
-    if (add_row_mass) {
-      for (size_t r = i; r < i + take; ++r) {
-        stream_sq_frob_ += linalg::SquaredNorm(rows.Row(r), dim_);
-      }
+    for (size_t r = i; r < i + take; ++r) {
+      stream_sq_frob_ += linalg::SquaredNorm(rows.Row(r), dim_);
     }
     i += take;
   }
+  ShrinkIfNeeded();  // restore the < 2*ell streaming invariant
+}
+
+void FrequentDirections::Merge(const FrequentDirections& other) {
+  const FrequentDirections* batch = &other;
+  Merge(&batch, 1);
+}
+
+void FrequentDirections::Merge(const FrequentDirections* const* others,
+                               size_t count) {
+  // Snapshots first: `this` may be in the batch (even twice), and the
+  // appends below grow our buffer.
+  double merged_sq_frob = stream_sq_frob_;
+  double merged_shrinkage = 0.0;
+  size_t stacked = buffer_.rows();
+  linalg::Matrix self_copy;
+  for (size_t i = 0; i < count; ++i) {
+    const FrequentDirections& other = *others[i];
+    DMT_CHECK_EQ(ell_, other.ell_);
+    if (other.dim_ == 0) continue;
+    if (dim_ == 0) dim_ = other.dim_;
+    DMT_CHECK_EQ(dim_, other.dim_);
+    merged_sq_frob += other.stream_sq_frob_;
+    merged_shrinkage += other.total_shrinkage_;
+    stacked += other.rows();
+    if (&other == this) self_copy = buffer_;
+  }
+  // A merge is one shrink of the stacked rows [Agarwal et al. 2012]: every
+  // part's rows land behind the kept ones in batch order, and one shrink
+  // at the end restores the < 2*ell invariant. A batch of one never holds
+  // 4*ell rows (both sides hold < 2*ell), so it shrinks as AppendRows of
+  // the part's rows would.
+  if (stacked > buffer_.rows()) EnsureShrinkWorkspace(stacked);
+  for (size_t i = 0; i < count; ++i) {
+    const FrequentDirections& other = *others[i];
+    const linalg::Matrix& rows = &other == this ? self_copy : other.buffer_;
+    if (rows.rows() == 0) continue;
+    buffer_.AppendRows(rows.Row(0), rows.rows(), dim_);
+    factored_ = false;
+  }
+  ShrinkIfNeeded();
+  stream_sq_frob_ = merged_sq_frob;
+  total_shrinkage_ += merged_shrinkage;
 }
 
 void FrequentDirections::ShrinkIfNeeded() {
@@ -139,9 +135,10 @@ void FrequentDirections::Compress() {
   if (buffer_.rows() > ell_) Shrink();
 }
 
-DMT_ALLOC_OK("one-time shrink workspace setup; no-op once buffer and seed have the sketch's shape")
-void FrequentDirections::EnsureShrinkWorkspace() {
-  buffer_.ReserveRows(BufferCapacityRows());
+DMT_ALLOC_OK("shrink workspace setup; no-op once the buffer holds the largest batch and the seed has the sketch's shape")
+void FrequentDirections::EnsureShrinkWorkspace(size_t rows) {
+  if (buffer_.cols() == 0) buffer_ = linalg::Matrix(0, dim_);
+  buffer_.ReserveRows(std::max(rows, BufferCapacityRows()));
   if (warm_seed_.size() != dim_) {
     warm_seed_.assign(dim_, 0.0);
     warm_seed_valid_ = false;
@@ -152,7 +149,7 @@ DMT_NO_ALLOC
 void FrequentDirections::Shrink() {
   ++shrink_count_;
   DMT_CHECK_GT(dim_, 0u);
-  EnsureShrinkWorkspace();
+  EnsureShrinkWorkspace(buffer_.rows());
   if (backend_ == FdShrinkBackend::kLanczos) {
     if (ShrinkLanczos(0)) return;
     ++lanczos_fallbacks_;  // rerun on the same, untouched rows

@@ -15,8 +15,9 @@
 //    it is one LanczosSolver::TopKOfRows call on the buffer
 //    (linalg/lanczos.h), which picks the operator from the shape: row
 //    matvecs — two GEMV-shaped passes, the d x d Gram never materialized
-//    — when the buffer has fewer rows than columns (always when
-//    4*ell < d), one blocked Gram otherwise, and its dense route — one
+//    — when the buffer has fewer rows than columns (always for Append
+//    and AppendRows when 4*ell < d; a batch Merge may stack more rows),
+//    one blocked Gram otherwise, and its dense route — one
 //    blocked Gram factored by Householder-QL — when the Krylov basis
 //    would span R^d (2 ell + 10 >= d, e.g. MP1 at eps = 0.1 on PAMAP's
 //    d = 44). The Krylov seed is the previous shrink's leading
@@ -40,13 +41,19 @@
 //    Protocol MP1 forwards it to its serving snapshots.
 //  * Sketches are mergeable [Agarwal et al. 2012]: errors add, so a
 //    sketch merged from parts satisfies the bound for the parts' streams
-//    stacked, under any grouping of the merges. AppendRows and both
-//    Merge forms share one bulk path: the buffer fills to its 4*ell
-//    capacity before each shrink, so n rows cost ~n/(3*ell) shrinks
-//    instead of the row-at-a-time n/ell. Merging a batch of k sketches
-//    in one call therefore shrinks once per buffer fill, where k single
-//    merges can shrink k times. Protocol MP1's coordinator merges each
-//    window's flushes as one batch.
+//    stacked, under any grouping of the merges. A merge is one shrink of
+//    the stacked rows: a batch Merge of k sketches appends every part's
+//    rows behind the kept ones and shrinks once at the end, however many
+//    rows that stacks. Each shrink removes at least (ell+1)*delta of mass
+//    whatever the buffer's length, so the bound needs no cap on it.
+//    Protocol MP1's coordinator merges each window's flushes as one
+//    batch, so it shrinks at most once per window. The transient space is
+//    the batch's rows held once more (the buffer keeps the largest
+//    batch's capacity); MP1's outboxes hold those rows already.
+//  * AppendRows keeps a bounded buffer instead: its input is raw rows of
+//    any length, so it fills the buffer to its 4*ell capacity before each
+//    shrink, and n rows cost ~n/(3*ell) shrinks instead of the
+//    row-at-a-time n/ell.
 #ifndef DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 #define DMT_SKETCH_FREQUENT_DIRECTIONS_H_
 
@@ -96,10 +103,10 @@ class FrequentDirections {
   /// sketching the concatenated stream directly. The batch of one below.
   void Merge(const FrequentDirections& other);
 
-  /// Merges `count` sketches (same ell), in order, through the bulk path:
-  /// their rows land exactly as AppendRows of the parts' rows stacked
-  /// would put them, a shrink runs only when the buffer is at 4*ell, and
-  /// one final shrink restores the < 2*ell invariant. Stream mass and
+  /// Merges `count` sketches (same ell) as one shrink of the stacked
+  /// rows: every part's rows land behind this sketch's rows in batch
+  /// order, and one shrink at the end (when they reach 2*ell) restores the
+  /// < 2*ell invariant; no shrink runs mid-batch. Stream mass and
   /// total_shrinkage() add each part's. The batch may hold `this`, or one
   /// sketch several times; each entry reads the state before the call.
   void Merge(const FrequentDirections* const* others, size_t count);
@@ -154,21 +161,16 @@ class FrequentDirections {
   size_t lanczos_fallback_count() const { return lanczos_fallbacks_; }
 
  private:
-  /// Buffer capacity in rows: 2*ell for streaming plus head-room so the
-  /// Merge/AppendRows bulk paths never reallocate.
+  /// Buffer capacity in rows that AppendRows fills between shrinks: 2*ell
+  /// for streaming plus head-room. A batch Merge may reserve more.
   size_t BufferCapacityRows() const { return 4 * ell_; }
 
-  /// One-time (per sketch) allocation of what every shrink needs:
-  /// full-capacity buffer reservation and warm-seed storage. Shrink calls
-  /// it first, so the shrink paths themselves are DMT_NO_ALLOC.
-  void EnsureShrinkWorkspace();
-
-  /// The bulk loop of AppendRows and Merge: appends every row of `rows`
-  /// (which must not alias buffer_), shrinking only when the buffer is at
-  /// capacity. `add_row_mass` adds each row's squared norm to the stream
-  /// mass; a merge carries the parts' masses instead. The caller restores
-  /// the < 2*ell invariant afterwards.
-  void AppendBulk(const linalg::Matrix& rows, bool add_row_mass);
+  /// Allocation of what every shrink needs: a buffer reservation of at
+  /// least `rows` rows and never below BufferCapacityRows(), and
+  /// warm-seed storage. A no-op once both have their size. Shrink calls
+  /// it first, so the shrink paths themselves are DMT_NO_ALLOC, and a
+  /// batch Merge calls it once with its stacked row count.
+  void EnsureShrinkWorkspace(size_t rows);
 
   void ShrinkIfNeeded();
   void Shrink();

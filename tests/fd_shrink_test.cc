@@ -1,7 +1,8 @@
 // Pins the allocation-free FD shrink pipeline (both backends) against a
 // cold reference SVD of every buffer, covers the bulk AppendRows path
-// (one shrink per buffer fill instead of one per ell rows), and pins
-// when the Lanczos backend falls back to the dense route.
+// (one shrink per buffer fill instead of one per ell rows) and batch
+// merges on both solver routes, and pins when the Lanczos backend falls
+// back to the dense route.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -330,6 +331,62 @@ TEST(FdShrinkTest, LanczosBackendMatchesDenseAtMp1CoordinatorShape) {
   EXPECT_EQ(lanczos.shrink_count(), dense.shrink_count());
   EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
   EXPECT_EQ(lanczos.rows(), dense.rows());
+  EXPECT_NEAR(lanczos.total_shrinkage(), dense.total_shrinkage(),
+              1e-8 * dense.total_shrinkage());
+}
+
+// Batch merges at an MSD-like shape, (ell, d) = (20, 90), where every
+// shrink is a Krylov solve (2 ell + 10 < d). A batch stacks all of its
+// parts' rows and shrinks once, so its buffers run from 2*ell rows to
+// well past 4*ell: below d the solver iterates on the rows, from d on it
+// builds the Gram. The Lanczos backend must match the dense reference
+// backend merge for merge, with no fallback.
+TEST(FdShrinkTest, LanczosBackendMatchesDenseOnKrylovBatchMerges) {
+  const size_t ell = 20;
+  FrequentDirections lanczos(ell);
+  lanczos.set_shrink_backend(FdShrinkBackend::kLanczos);
+  FrequentDirections dense(ell);
+  dense.set_shrink_backend(FdShrinkBackend::kDense);
+
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::MsdLike(19));
+  Rng sizes(20);
+  const size_t batches = 60;
+  size_t min_n = SIZE_MAX, max_n = 0;
+  for (size_t merge = 0; merge < batches; ++merge) {
+    std::vector<FrequentDirections> parts;
+    const size_t k = 1 + sizes.NextBelow(8);  // 1..8 site sketches
+    size_t n = lanczos.rows();
+    for (size_t p = 0; p < k; ++p) {
+      const size_t r = 1 + sizes.NextBelow(24);  // 1..24 rows each
+      parts.emplace_back(ell);
+      parts.back().AppendRows(gen.Take(r));
+      ASSERT_EQ(parts.back().shrink_count(), 0u);
+      n += r;
+    }
+    if (n >= 2 * ell) {
+      min_n = std::min(min_n, n);
+      max_n = std::max(max_n, n);
+    }
+    std::vector<const FrequentDirections*> batch;
+    for (const FrequentDirections& f : parts) batch.push_back(&f);
+    const size_t before = lanczos.shrink_count();
+    lanczos.Merge(batch.data(), batch.size());
+    dense.Merge(batch.data(), batch.size());
+    EXPECT_LE(lanczos.shrink_count(), before + 1);
+  }
+  const size_t d = lanczos.dim();
+  ASSERT_EQ(d, 90u);
+  ASSERT_FALSE(linalg::LanczosSolver::UsesDenseRoute(d, ell + 1));
+  EXPECT_LT(min_n, d);
+  EXPECT_GE(max_n, d);
+  EXPECT_GT(max_n, 4 * ell);
+  ASSERT_GE(lanczos.shrink_count(), batches / 2);
+  EXPECT_EQ(lanczos.shrink_count(), dense.shrink_count());
+  EXPECT_EQ(lanczos.lanczos_fallback_count(), 0u);
+  EXPECT_EQ(lanczos.rows(), dense.rows());
+  EXPECT_EQ(lanczos.stream_squared_frobenius(),
+            dense.stream_squared_frobenius());
   EXPECT_NEAR(lanczos.total_shrinkage(), dense.total_shrinkage(),
               1e-8 * dense.total_shrinkage());
 }

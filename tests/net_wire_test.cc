@@ -12,6 +12,7 @@
 
 #include "net/frame.h"
 #include "net/messages.h"
+#include "util/rng.h"
 
 namespace dmt {
 namespace net {
@@ -382,6 +383,42 @@ TEST(FrameHeaderTest, CrcCatchesPayloadCorruption) {
     corrupt[byte] ^= 0x10;
     EXPECT_FALSE(CheckFrameCrc(header, corrupt.data(), &error))
         << "flip in byte " << byte << " not caught";
+  }
+}
+
+// CRC-32 by its definition: the reflected polynomial applied one bit at a
+// time, with the all-ones preset and final complement.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Crc32 folds 8 bytes per step and finishes the tail bytewise; every
+// length and start alignment must give the definition's value.
+TEST(FrameHeaderTest, Crc32MatchesTheBitwiseDefinition) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+
+  const size_t kMaxLen = 1100, kOffsets = 8;
+  Rng rng(41);
+  std::vector<uint8_t> buf(kMaxLen + kOffsets);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextBelow(256));
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      if (Crc32(p, len) != BitwiseCrc32(p, len)) {
+        ADD_FAILURE() << "offset " << offset << ", length " << len;
+        if (++mismatches >= 10) return;
+      }
+    }
   }
 }
 

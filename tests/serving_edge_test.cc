@@ -247,16 +247,21 @@ TEST(ServingEdgeTest, SnapshotFactorizationMatchesReferenceSvd) {
   EXPECT_GE(ExpectSnapshotMatchesReferenceSvd(*mp1_snap), 3u);
 }
 
-// MP1 publishes the σ and V of its coordinator FD's last shrink whenever
-// a window's batch ended on one (ExportSnapshotFactors returns true), and
-// solves for them otherwise. On factored windows σ·Vᵀ is the stored sketch
-// bit for bit, which a second factorization misses by rounding; on every
-// window the snapshot holds the sketch's singular structure, whichever
-// path built it. PAMAP-like rows over 32 sites at the benchmark's chunk:
-// long enough that some windows merge flushes without ending on a shrink,
-// so rows have entered the sketch since its last factorization.
-TEST(ServingEdgeTest, Mp1SnapshotReusesItsShrinkFactorization) {
-  const size_t sites = 32, n = 6000;
+// Publishes of one MP1 serving run: those whose σ and V came from the
+// coordinator FD's last shrink, and those after a first shrink that
+// solved for their own.
+struct Mp1Publishes {
+  size_t factored = 0;
+  size_t solved_after_a_shrink = 0;
+};
+
+// MP1 over `n` PAMAP-like rows and 32 sites, `chunk` rows per window,
+// checking every published snapshot. On factored windows σ·Vᵀ must be the
+// stored sketch bit for bit, which a second factorization misses by
+// rounding; on every window the snapshot holds the sketch's singular
+// structure, whichever path built it.
+Mp1Publishes RunMp1Serving(size_t n, size_t chunk) {
+  const size_t sites = 32;
   data::SyntheticMatrixGenerator gen(
       data::SyntheticMatrixGenerator::PamapLike(7));
   const linalg::Matrix rows = gen.Take(n);
@@ -269,13 +274,13 @@ TEST(ServingEdgeTest, Mp1SnapshotReusesItsShrinkFactorization) {
   matrix::MP1BatchedFD protocol(sites, 0.1);
   stream::SimulationOptions opt;
   opt.threads = 2;
-  opt.chunk_elements = 96;
+  opt.chunk_elements = chunk;
   stream::SimulationDriver driver(opt);
   serve::SnapshotStore store;
   serve::ServingCoordinator serving(&store);
   serving.AttachMatrix(&driver, &protocol);
 
-  size_t factored = 0, solved_after_a_shrink = 0;
+  Mp1Publishes out;
   serving.set_publish_observer([&](const serve::Snapshot& snap) {
     linalg::Matrix sketch;
     linalg::RightSingular factors;
@@ -284,7 +289,7 @@ TEST(ServingEdgeTest, Mp1SnapshotReusesItsShrinkFactorization) {
     if (snap.sketch.empty()) return;
     const size_t r = snap.sketch.rows(), d = snap.sketch.cols();
     if (own) {
-      ++factored;
+      ++out.factored;
       ASSERT_EQ(snap.sigma.size(), r);
       ASSERT_EQ(snap.right_vectors.cols(), r);
       size_t mismatches = 0;
@@ -297,14 +302,28 @@ TEST(ServingEdgeTest, Mp1SnapshotReusesItsShrinkFactorization) {
       }
       EXPECT_EQ(mismatches, 0u) << "window " << snap.window_index;
     } else if (protocol.coordinator_shrink_count() > 0) {
-      ++solved_after_a_shrink;
+      ++out.solved_after_a_shrink;
     }
     ExpectSnapshotMatchesReferenceSvd(snap);
   });
   EXPECT_EQ(driver.Run(&protocol, &router, &source), n);
   serving.Detach();
-  EXPECT_GT(factored, 0u);
-  EXPECT_GT(solved_after_a_shrink, 0u);
+  return out;
+}
+
+// MP1 publishes the σ and V of its coordinator FD's last shrink whenever
+// a window's batch ended on one (ExportSnapshotFactors returns true), and
+// solves for them otherwise. At the benchmark's chunk of 96 rows nearly
+// every window merges 2*ell rows or more, so it ends on a shrink. At 8
+// rows per window most windows after a shrink merge fewer, so rows have
+// entered the sketch since its last factorization and the snapshot
+// solves for its own.
+TEST(ServingEdgeTest, Mp1SnapshotReusesItsShrinkFactorization) {
+  const Mp1Publishes bench_chunk = RunMp1Serving(6000, 96);
+  EXPECT_GT(bench_chunk.factored, 0u);
+  const Mp1Publishes small_chunk = RunMp1Serving(1500, 8);
+  EXPECT_GT(small_chunk.factored, 0u);
+  EXPECT_GT(small_chunk.solved_after_a_shrink, 0u);
 }
 
 // The Gram route's stated accuracy (linalg/svd.h): sigma_i^2 to about
