@@ -87,7 +87,8 @@ void AblationMp3Modes() {
   cfg.stream_len = n;
   cfg.num_sites = 50;
   for (double eps : {5e-2, 1e-1, 2e-1}) {
-    std::vector<MatrixProtocolSpec> specs{{"P3", eps, 0}, {"P3wr", eps, 0}};
+    std::vector<MatrixProtocolSpec> specs{{"mp3wor", eps, 0},
+                                          {"mp3wr", eps, 0}};
     auto rows = RunMatrixExperiment(cfg, specs);
     t.AddRow({Fmt(eps), Fmt(rows[0].err), Fmt(rows[0].messages),
               Fmt(rows[1].err), Fmt(rows[1].messages)});

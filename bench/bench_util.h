@@ -22,24 +22,12 @@
 #include <thread>
 #include <vector>
 
-#include "core/config.h"
+#include "core/registry.h"
 #include "data/dataset.h"
 #include "data/synthetic_matrix.h"
 #include "data/zipf.h"
-#include "hh/exact_tracker.h"
-#include "hh/hh_protocol.h"
-#include "hh/p1_batched_mg.h"
-#include "hh/p2_threshold.h"
-#include "hh/p3_sampling.h"
-#include "hh/p4_randomized.h"
 #include "linalg/kernels.h"
-#include "matrix/baselines.h"
 #include "matrix/error.h"
-#include "matrix/matrix_protocol.h"
-#include "matrix/mp1_batched_fd.h"
-#include "matrix/mp2_svd_threshold.h"
-#include "matrix/mp3_sampling.h"
-#include "matrix/mp4_experimental.h"
 #include "stream/router.h"
 #include "stream/simulation_driver.h"
 #include "util/check.h"
@@ -51,13 +39,10 @@ namespace bench {
 
 /// Emits a BENCH_*.json artifact the way the repo tracks perf
 /// trajectories. The harness prints the standard envelope — bench name,
-/// the machine's detected hardware-thread count (so single-core
-/// recordings are machine-checkable: the checked-in
-/// BENCH_parallel_sites.json and BENCH_serving_mixed.json both remain
-/// 1-core recordings with the degraded_environment marker set —
-/// re-record on multicore hardware before quoting concurrency numbers
-/// from them), the DMT_SCALE in effect and the instruction set the
-/// linalg kernels dispatched to — then `body(f)`
+/// the machine's detected hardware-thread count (a single-core recording
+/// gets the degraded_environment marker, so it is machine-checkable),
+/// the DMT_SCALE in effect and the instruction set the linalg kernels
+/// dispatched to — then `body(f)`
 /// appends the bench-specific fields (two-space indented, no trailing
 /// comma on the last one) before the closing brace. The JSON goes to
 /// stdout and, when `path` is non-null, to that file too (the repo keeps
@@ -130,27 +115,18 @@ struct HhExperimentConfig {
   size_t chunk_elements = 8192;
 };
 
-inline std::unique_ptr<hh::HeavyHitterProtocol> MakeHhProtocol(
-    const std::string& name, size_t m, double eps, uint64_t seed) {
-  if (name == "P1") return std::make_unique<hh::P1BatchedMG>(m, eps);
-  if (name == "P2") return std::make_unique<hh::P2Threshold>(m, eps);
-  if (name == "P3") return std::make_unique<hh::P3SamplingWoR>(m, eps, seed);
-  if (name == "P3wr") return std::make_unique<hh::P3SamplingWR>(m, eps, seed);
-  if (name == "P4") return std::make_unique<hh::P4Randomized>(m, eps, seed);
-  return std::make_unique<hh::ExactTracker>(m);
-}
-
-/// Runs all `protocol_names` over one shared Zipfian stream with the given
-/// per-protocol epsilon values (parallel array), and reports the paper's
-/// four HH metrics for each.
+/// Runs all `protocol_names` (core/registry.h names) over one shared
+/// Zipfian stream with the given per-protocol epsilon values (parallel
+/// array), and reports the paper's four HH metrics for each.
 inline std::vector<HhMetrics> RunHhExperiment(
     const HhExperimentConfig& cfg,
     const std::vector<std::string>& protocol_names,
     const std::vector<double>& epsilons) {
   std::vector<std::unique_ptr<hh::HeavyHitterProtocol>> protocols;
   for (size_t i = 0; i < protocol_names.size(); ++i) {
-    protocols.push_back(MakeHhProtocol(protocol_names[i], cfg.num_sites,
-                                       epsilons[i], cfg.seed + 100 + i));
+    protocols.push_back(MakeHhProtocol(
+        protocol_names[i], {cfg.num_sites, epsilons[i], cfg.seed + 100 + i}));
+    DMT_CHECK(protocols.back() != nullptr);
   }
 
   // Materialize the stream + assignment once; every protocol then runs
@@ -236,33 +212,10 @@ struct MatrixExperimentConfig {
 };
 
 struct MatrixProtocolSpec {
-  std::string name;  // P1 | P2 | P3 | P3wr | P4 | FD | SVD
+  std::string name;  // a matrix name in core/registry.h
   double eps = 0.1;
-  size_t k = 30;  // only for FD / SVD baselines
+  size_t k = 30;  // only for the fd / svd baselines
 };
-
-inline std::unique_ptr<matrix::MatrixTrackingProtocol> MakeMatrixProtocol(
-    const MatrixProtocolSpec& spec, size_t m, size_t dim, uint64_t seed) {
-  if (spec.name == "P1") {
-    return std::make_unique<matrix::MP1BatchedFD>(m, spec.eps);
-  }
-  if (spec.name == "P2") {
-    return std::make_unique<matrix::MP2SvdThreshold>(m, spec.eps);
-  }
-  if (spec.name == "P3") {
-    return std::make_unique<matrix::MP3SamplingWoR>(m, spec.eps, seed);
-  }
-  if (spec.name == "P3wr") {
-    return std::make_unique<matrix::MP3SamplingWR>(m, spec.eps, seed);
-  }
-  if (spec.name == "P4") {
-    return std::make_unique<matrix::MP4Experimental>(m, spec.eps, seed);
-  }
-  if (spec.name == "FD") {
-    return std::make_unique<matrix::NaiveFdBaseline>(m, spec.k);
-  }
-  return std::make_unique<matrix::NaiveSvdBaseline>(m, dim, spec.k);
-}
 
 /// Runs all `specs` over one shared row stream — synthetic
 /// (cfg.generator) or a real dataset (cfg.source) — and reports the
@@ -281,8 +234,10 @@ inline std::vector<MatrixMetrics> RunMatrixExperiment(
                                            : cfg.generator.dim;
   std::vector<std::unique_ptr<matrix::MatrixTrackingProtocol>> protocols;
   for (size_t i = 0; i < specs.size(); ++i) {
-    protocols.push_back(
-        MakeMatrixProtocol(specs[i], cfg.num_sites, dim, cfg.seed + 200 + i));
+    protocols.push_back(MakeMatrixProtocol(
+        specs[i].name, {cfg.num_sites, specs[i].eps, cfg.seed + 200 + i}, dim,
+        specs[i].k));
+    DMT_CHECK(protocols.back() != nullptr);
   }
 
   stream::SimulationOptions driver_opt;

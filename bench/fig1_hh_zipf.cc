@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   base.chunk_elements =
       dmt::stream::ParseChunkArg(argc, argv, base.chunk_elements);
 
-  const std::vector<std::string> protos{"P1", "P2", "P3", "P4"};
+  const std::vector<std::string> protos{"p1", "p2", "p3wor", "p4"};
   const std::vector<double> eps_values{5e-4, 1e-3, 5e-3, 1e-2, 5e-2};
 
   std::printf("Figure 1: weighted heavy hitters, Zipf skew=2, N=%zu, "

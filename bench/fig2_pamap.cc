@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   msg_eps.SetHeader({"eps", "P1", "P2", "P3"});
   for (double eps : eps_values) {
     std::vector<MatrixProtocolSpec> specs{
-        {"P1", eps, 0}, {"P2", eps, 0}, {"P3", eps, 0}};
+        {"mp1", eps, 0}, {"mp2", eps, 0}, {"mp3wor", eps, 0}};
     auto rows = RunMatrixExperiment(base, specs);
     err_eps.AddRow(
         {Fmt(eps), Fmt(rows[0].err), Fmt(rows[1].err), Fmt(rows[2].err)});
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     MatrixExperimentConfig cfg = base;
     cfg.num_sites = m;
     std::vector<MatrixProtocolSpec> specs{
-        {"P1", 0.1, 0}, {"P2", 0.1, 0}, {"P3", 0.1, 0}};
+        {"mp1", 0.1, 0}, {"mp2", 0.1, 0}, {"mp3wor", 0.1, 0}};
     auto rows = RunMatrixExperiment(cfg, specs);
     msg_m.AddRow({Fmt(static_cast<uint64_t>(m)), Fmt(rows[0].messages),
                   Fmt(rows[1].messages), Fmt(rows[2].messages)});

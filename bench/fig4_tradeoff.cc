@@ -30,7 +30,7 @@ void RunDataset(const char* label, dmt::data::SyntheticMatrixConfig gen,
   // One shared pass per eps drives all three protocols on identical data.
   for (double eps : {5e-3, 1e-2, 5e-2, 1e-1, 5e-1}) {
     std::vector<MatrixProtocolSpec> specs{
-        {"P1", eps, 0}, {"P2", eps, 0}, {"P3", eps, 0}};
+        {"mp1", eps, 0}, {"mp2", eps, 0}, {"mp3wor", eps, 0}};
     auto rows = RunMatrixExperiment(cfg, specs);
     for (const auto& r : rows) {
       t.AddRow({r.protocol, Fmt(eps), Fmt(r.err), Fmt(r.messages)});

@@ -27,7 +27,7 @@ void RunDataset(const char* fig, const char* label,
   err_eps.SetHeader({"eps", "P1", "P2", "P3", "P4"});
   for (double eps : {1e-2, 5e-2, 1e-1, 5e-1}) {
     std::vector<MatrixProtocolSpec> specs{
-        {"P1", eps, 0}, {"P2", eps, 0}, {"P3", eps, 0}, {"P4", eps, 0}};
+        {"mp1", eps, 0}, {"mp2", eps, 0}, {"mp3wor", eps, 0}, {"mp4", eps, 0}};
     auto rows = RunMatrixExperiment(base, specs);
     err_eps.AddRow({Fmt(eps), Fmt(rows[0].err), Fmt(rows[1].err),
                     Fmt(rows[2].err), Fmt(rows[3].err)});
@@ -42,7 +42,7 @@ void RunDataset(const char* fig, const char* label,
     MatrixExperimentConfig cfg = base;
     cfg.num_sites = m;
     std::vector<MatrixProtocolSpec> specs{
-        {"P1", 0.1, 0}, {"P2", 0.1, 0}, {"P3", 0.1, 0}, {"P4", 0.1, 0}};
+        {"mp1", 0.1, 0}, {"mp2", 0.1, 0}, {"mp3wor", 0.1, 0}, {"mp4", 0.1, 0}};
     auto rows = RunMatrixExperiment(cfg, specs);
     err_m.AddRow({Fmt(static_cast<uint64_t>(m)), Fmt(rows[0].err),
                   Fmt(rows[1].err), Fmt(rows[2].err), Fmt(rows[3].err)});

@@ -40,8 +40,8 @@ void RunDataset(int argc, char** argv, const std::string& name,
   cfg.chunk_elements = stream::ParseChunkArg(argc, argv, cfg.chunk_elements);
 
   std::vector<MatrixProtocolSpec> specs{
-      {"P1", 0.1, k}, {"P2", 0.1, k},   {"P3", 0.1, k},
-      {"P3wr", 0.1, k}, {"FD", 0.1, k}, {"SVD", 0.1, k}};
+      {"mp1", 0.1, k},   {"mp2", 0.1, k}, {"mp3wor", 0.1, k},
+      {"mp3wr", 0.1, k}, {"fd", 0.1, k},  {"svd", 0.1, k}};
   auto rows = RunMatrixExperiment(cfg, specs);
 
   TablePrinter t("Table 1: " + source->info().name + ", k=" +
@@ -49,9 +49,7 @@ void RunDataset(int argc, char** argv, const std::string& name,
                  ", d=" + std::to_string(source->dim()) + ", eps=0.1, m=50");
   t.SetHeader({"Method", "err", "msg"});
   for (const auto& r : rows) {
-    // The paper labels the without-replacement sampler P3wor.
-    std::string label = r.protocol == "P3" ? "P3wor" : r.protocol;
-    t.AddRow({label, Fmt(r.err), Fmt(r.messages)});
+    t.AddRow({r.protocol, Fmt(r.err), Fmt(r.messages)});
   }
   t.Print();
   std::printf("\n");

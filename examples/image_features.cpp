@@ -43,7 +43,7 @@ int main() {
   dmt::MatrixTrackerConfig cfg;
   cfg.num_sites = kDataCenters;
   cfg.epsilon = kEps;
-  cfg.protocol = dmt::MatrixProtocol::kP2SvdThreshold;
+  cfg.protocol = "mp2";
   dmt::ContinuousMatrixTracker tracker(cfg);
 
   // Feature vectors concentrate on a ~15-dimensional "visual vocabulary"

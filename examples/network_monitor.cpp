@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   dmt::MatrixTrackerConfig cfg;
   cfg.num_sites = kMonitors;
   cfg.epsilon = 0.1;
-  cfg.protocol = dmt::MatrixProtocol::kP3SampleWoR;
+  cfg.protocol = "mp3wor";
   cfg.seed = 77;
   dmt::ContinuousMatrixTracker tracker(cfg);
 

@@ -16,7 +16,7 @@ int main() {
   dmt::MatrixTrackerConfig cfg;
   cfg.num_sites = 6;
   cfg.epsilon = 0.1;
-  cfg.protocol = dmt::MatrixProtocol::kP2SvdThreshold;
+  cfg.protocol = "mp2";
   dmt::ContinuousMatrixTracker tracker(cfg);
 
   // A synthetic low-rank row stream plays the role of live data.

@@ -25,7 +25,7 @@ int main() {
   dmt::HhTrackerConfig cfg;
   cfg.num_sites = kServers;
   cfg.epsilon = kEps;
-  cfg.protocol = dmt::HhProtocol::kP2Threshold;
+  cfg.protocol = "p2";
   dmt::ContinuousHeavyHitterTracker tracker(cfg);
 
   // Requests follow a Zipf law over 50k resources; response sizes are

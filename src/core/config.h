@@ -4,27 +4,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace dmt {
-
-/// Which distributed matrix tracking protocol to run.
-enum class MatrixProtocol {
-  kP1BatchedFD,    ///< deterministic, batched FD sketches (Sec. 5.1)
-  kP2SvdThreshold, ///< deterministic, per-direction thresholds (Sec. 5.2)
-  kP3SampleWoR,    ///< randomized, priority row sampling (Sec. 5.3)
-  kP3SampleWR,     ///< randomized, with-replacement sampling (Sec. 4.3.1)
-  kP4Experimental, ///< appendix C negative result (for study only)
-};
-
-/// Which distributed weighted heavy-hitters protocol to run.
-enum class HhProtocol {
-  kP1BatchedMG,
-  kP2Threshold,
-  kP3SampleWoR,
-  kP3SampleWR,
-  kP4Randomized,
-  kExact,
-};
 
 /// Configuration shared by both tracker facades.
 struct TrackerConfig {
@@ -35,12 +17,15 @@ struct TrackerConfig {
 
 /// Matrix tracker configuration.
 struct MatrixTrackerConfig : TrackerConfig {
-  MatrixProtocol protocol = MatrixProtocol::kP2SvdThreshold;
+  /// A matrix row of core/registry.h: mp1, mp2, mp3wor, mp3wr or mp4.
+  std::string protocol = "mp2";
 };
 
 /// Heavy-hitters tracker configuration.
 struct HhTrackerConfig : TrackerConfig {
-  HhProtocol protocol = HhProtocol::kP2Threshold;
+  /// A heavy-hitter row of core/registry.h: p1, p2, p3wor, p3wr, p4 or
+  /// exact.
+  std::string protocol = "p2";
 };
 
 }  // namespace dmt

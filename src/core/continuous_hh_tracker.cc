@@ -1,10 +1,6 @@
 #include "core/continuous_hh_tracker.h"
 
-#include "hh/exact_tracker.h"
-#include "hh/p1_batched_mg.h"
-#include "hh/p2_threshold.h"
-#include "hh/p3_sampling.h"
-#include "hh/p4_randomized.h"
+#include "core/registry.h"
 #include "stream/simulation_driver.h"
 #include "util/check.h"
 
@@ -14,31 +10,8 @@ ContinuousHeavyHitterTracker::ContinuousHeavyHitterTracker(
     const HhTrackerConfig& config)
     : config_(config) {
   DMT_CHECK_GE(config.num_sites, 1u);
-  switch (config.protocol) {
-    case HhProtocol::kP1BatchedMG:
-      protocol_ = std::make_unique<hh::P1BatchedMG>(config.num_sites,
-                                                    config.epsilon);
-      break;
-    case HhProtocol::kP2Threshold:
-      protocol_ = std::make_unique<hh::P2Threshold>(config.num_sites,
-                                                    config.epsilon);
-      break;
-    case HhProtocol::kP3SampleWoR:
-      protocol_ = std::make_unique<hh::P3SamplingWoR>(
-          config.num_sites, config.epsilon, config.seed);
-      break;
-    case HhProtocol::kP3SampleWR:
-      protocol_ = std::make_unique<hh::P3SamplingWR>(
-          config.num_sites, config.epsilon, config.seed);
-      break;
-    case HhProtocol::kP4Randomized:
-      protocol_ = std::make_unique<hh::P4Randomized>(
-          config.num_sites, config.epsilon, config.seed);
-      break;
-    case HhProtocol::kExact:
-      protocol_ = std::make_unique<hh::ExactTracker>(config.num_sites);
-      break;
-  }
+  protocol_ = MakeHhProtocol(config.protocol, config);
+  DMT_CHECK(protocol_ != nullptr);
 }
 
 ContinuousHeavyHitterTracker::~ContinuousHeavyHitterTracker() = default;

@@ -3,7 +3,7 @@
 //   dmt::HhTrackerConfig cfg;
 //   cfg.num_sites = 50;
 //   cfg.epsilon = 1e-3;
-//   cfg.protocol = dmt::HhProtocol::kP2Threshold;
+//   cfg.protocol = "p2";
 //   dmt::ContinuousHeavyHitterTracker tracker(cfg);
 //   tracker.Observe(site, element, weight);
 //   auto hh = tracker.HeavyHitters(0.05);  // phi-heavy hitters, any time

@@ -1,11 +1,7 @@
 #include "core/continuous_matrix_tracker.h"
 
+#include "core/registry.h"
 #include "linalg/vec_ops.h"
-#include "matrix/baselines.h"
-#include "matrix/mp1_batched_fd.h"
-#include "matrix/mp2_svd_threshold.h"
-#include "matrix/mp3_sampling.h"
-#include "matrix/mp4_experimental.h"
 #include "stream/simulation_driver.h"
 #include "util/check.h"
 
@@ -15,28 +11,8 @@ ContinuousMatrixTracker::ContinuousMatrixTracker(
     const MatrixTrackerConfig& config)
     : config_(config) {
   DMT_CHECK_GE(config.num_sites, 1u);
-  switch (config.protocol) {
-    case MatrixProtocol::kP1BatchedFD:
-      protocol_ = std::make_unique<matrix::MP1BatchedFD>(config.num_sites,
-                                                         config.epsilon);
-      break;
-    case MatrixProtocol::kP2SvdThreshold:
-      protocol_ = std::make_unique<matrix::MP2SvdThreshold>(config.num_sites,
-                                                            config.epsilon);
-      break;
-    case MatrixProtocol::kP3SampleWoR:
-      protocol_ = std::make_unique<matrix::MP3SamplingWoR>(
-          config.num_sites, config.epsilon, config.seed);
-      break;
-    case MatrixProtocol::kP3SampleWR:
-      protocol_ = std::make_unique<matrix::MP3SamplingWR>(
-          config.num_sites, config.epsilon, config.seed);
-      break;
-    case MatrixProtocol::kP4Experimental:
-      protocol_ = std::make_unique<matrix::MP4Experimental>(
-          config.num_sites, config.epsilon, config.seed);
-      break;
-  }
+  protocol_ = MakeMatrixProtocol(config.protocol, config);
+  DMT_CHECK(protocol_ != nullptr);
 }
 
 ContinuousMatrixTracker::~ContinuousMatrixTracker() = default;

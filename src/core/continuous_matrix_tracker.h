@@ -6,7 +6,7 @@
 //   dmt::MatrixTrackerConfig cfg;
 //   cfg.num_sites = 50;
 //   cfg.epsilon = 0.1;
-//   cfg.protocol = dmt::MatrixProtocol::kP2SvdThreshold;
+//   cfg.protocol = "mp2";
 //   dmt::ContinuousMatrixTracker tracker(cfg);
 //   tracker.Append(site_id, row);              // any time, any site
 //   dmt::linalg::Matrix b = tracker.Sketch();  // any time
@@ -66,7 +66,7 @@ class ContinuousMatrixTracker {
   /// Rows appended so far across all sites.
   size_t rows_seen() const { return rows_seen_; }
 
-  /// Name of the underlying protocol (e.g. "P2").
+  /// Registry name of the underlying protocol (e.g. "mp2").
   std::string protocol_name() const;
 
   const MatrixTrackerConfig& config() const { return config_; }

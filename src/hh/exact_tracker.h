@@ -33,7 +33,7 @@ class ExactTracker : public HeavyHitterProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "Exact"; }
+  std::string name() const override { return "exact"; }
   std::vector<uint64_t> TrackedElements() const override;
 
  private:

@@ -107,7 +107,7 @@ class HeavyHitterProtocol {
   /// rounds / after the run.
   virtual std::vector<uint64_t> per_site_messages() const = 0;
 
-  /// Short display name (e.g. "P2").
+  /// The protocol's core/registry.h name (e.g. "p2").
   virtual std::string name() const = 0;
 
   /// Returns every element the coordinator currently tracks that passes the

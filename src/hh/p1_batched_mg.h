@@ -40,7 +40,7 @@ class P1BatchedMG : public HeavyHitterProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P1"; }
+  std::string name() const override { return "p1"; }
   std::vector<uint64_t> TrackedElements() const override;
 
   /// A site's shipped batch awaiting coordinator delivery: the snapshot of

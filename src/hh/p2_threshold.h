@@ -51,7 +51,7 @@ class P2Threshold : public HeavyHitterProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P2"; }
+  std::string name() const override { return "p2"; }
   std::vector<uint64_t> TrackedElements() const override;
 
   /// Bounded-space mode: elements `site` keeps a reported-weight entry

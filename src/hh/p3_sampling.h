@@ -68,7 +68,7 @@ class P3SamplingWoR : public HeavyHitterProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P3wor"; }
+  std::string name() const override { return "p3wor"; }
   std::vector<uint64_t> TrackedElements() const override;
 
   size_t sample_size() const { return s_; }
@@ -113,7 +113,7 @@ class P3SamplingWR : public HeavyHitterProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P3wr"; }
+  std::string name() const override { return "p3wr"; }
   std::vector<uint64_t> TrackedElements() const override;
 
   size_t sample_size() const { return s_; }

@@ -51,7 +51,7 @@ class P4Randomized : public HeavyHitterProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P4"; }
+  std::string name() const override { return "p4"; }
   std::vector<uint64_t> TrackedElements() const override;
 
  private:

@@ -33,7 +33,7 @@ class NaiveFdBaseline : public MatrixTrackingProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "FD"; }
+  std::string name() const override { return "fd"; }
 
  private:
   stream::Network network_;
@@ -61,7 +61,7 @@ class NaiveSvdBaseline : public MatrixTrackingProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "SVD"; }
+  std::string name() const override { return "svd"; }
 
  private:
   size_t k_;

@@ -137,7 +137,7 @@ class MatrixTrackingProtocol {
   /// rounds / after the run.
   virtual std::vector<uint64_t> per_site_messages() const = 0;
 
-  /// Short display name (e.g. "P2").
+  /// The protocol's core/registry.h name (e.g. "mp2").
   virtual std::string name() const = 0;
 
  protected:

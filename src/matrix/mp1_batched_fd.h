@@ -62,7 +62,7 @@ class MP1BatchedFD : public MatrixTrackingProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P1"; }
+  std::string name() const override { return "mp1"; }
 
   double coordinator_frobenius() const { return coordinator_frob_; }
   /// Shrinks the coordinator's FD sketch has run (observability).

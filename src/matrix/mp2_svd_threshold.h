@@ -75,7 +75,7 @@ class MP2SvdThreshold : public MatrixTrackingProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P2"; }
+  std::string name() const override { return "mp2"; }
 
   double coordinator_frobenius() const { return coord_fest_; }
   /// Threshold checks (each one or more eigensolves) across all sites

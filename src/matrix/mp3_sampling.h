@@ -47,7 +47,7 @@ class MP3SamplingWoR : public MatrixTrackingProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P3wor"; }
+  std::string name() const override { return "mp3wor"; }
 
   size_t sample_size() const { return s_; }
   double threshold() const { return tau_; }
@@ -91,7 +91,7 @@ class MP3SamplingWR : public MatrixTrackingProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P3wr"; }
+  std::string name() const override { return "mp3wr"; }
 
   size_t sample_size() const { return s_; }
 

@@ -61,7 +61,7 @@ class MP4Experimental : public MatrixTrackingProtocol {
   std::vector<uint64_t> per_site_messages() const override {
     return network_.per_site_up();
   }
-  std::string name() const override { return "P4"; }
+  std::string name() const override { return "mp4"; }
 
  private:
   struct SiteState {

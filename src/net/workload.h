@@ -1,6 +1,6 @@
 // Shared run configuration and deterministic workload construction for the
 // wire binaries (tools/dmt_site, tools/dmt_coordinator), the
-// transport-equivalence tests and the loopback bench.
+// transport-equivalence tests and pipebench's wire workload.
 //
 // Every process of one distributed run parses the same flags and calls
 // MakeWireWorkload with the same config; because stream generation, site

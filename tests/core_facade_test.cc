@@ -11,17 +11,11 @@ namespace dmt {
 namespace {
 
 TEST(MatrixTrackerFacadeTest, ProtocolNamesWireCorrectly) {
-  for (auto [proto, want] :
-       std::initializer_list<std::pair<MatrixProtocol, std::string>>{
-           {MatrixProtocol::kP1BatchedFD, "P1"},
-           {MatrixProtocol::kP2SvdThreshold, "P2"},
-           {MatrixProtocol::kP3SampleWoR, "P3wor"},
-           {MatrixProtocol::kP3SampleWR, "P3wr"},
-           {MatrixProtocol::kP4Experimental, "P4"}}) {
+  for (const char* name : {"mp1", "mp2", "mp3wor", "mp3wr", "mp4"}) {
     MatrixTrackerConfig cfg;
-    cfg.protocol = proto;
+    cfg.protocol = name;
     ContinuousMatrixTracker t(cfg);
-    EXPECT_EQ(t.protocol_name(), want);
+    EXPECT_EQ(t.protocol_name(), name);
   }
 }
 
@@ -29,7 +23,7 @@ TEST(MatrixTrackerFacadeTest, TracksRowsAndMeetsEpsilon) {
   MatrixTrackerConfig cfg;
   cfg.num_sites = 5;
   cfg.epsilon = 0.1;
-  cfg.protocol = MatrixProtocol::kP2SvdThreshold;
+  cfg.protocol = "mp2";
   ContinuousMatrixTracker tracker(cfg);
 
   data::SyntheticMatrixConfig gen_cfg;
@@ -55,7 +49,7 @@ TEST(MatrixTrackerFacadeTest, TracksRowsAndMeetsEpsilon) {
 TEST(MatrixTrackerFacadeTest, SquaredNormAlongMatchesGram) {
   MatrixTrackerConfig cfg;
   cfg.num_sites = 3;
-  cfg.protocol = MatrixProtocol::kP1BatchedFD;
+  cfg.protocol = "mp1";
   ContinuousMatrixTracker tracker(cfg);
   data::SyntheticMatrixConfig gen_cfg;
   gen_cfg.dim = 6;
@@ -72,18 +66,11 @@ TEST(MatrixTrackerFacadeTest, SquaredNormAlongMatchesGram) {
 }
 
 TEST(HhTrackerFacadeTest, ProtocolNamesWireCorrectly) {
-  for (auto [proto, want] :
-       std::initializer_list<std::pair<HhProtocol, std::string>>{
-           {HhProtocol::kP1BatchedMG, "P1"},
-           {HhProtocol::kP2Threshold, "P2"},
-           {HhProtocol::kP3SampleWoR, "P3wor"},
-           {HhProtocol::kP3SampleWR, "P3wr"},
-           {HhProtocol::kP4Randomized, "P4"},
-           {HhProtocol::kExact, "Exact"}}) {
+  for (const char* name : {"p1", "p2", "p3wor", "p3wr", "p4", "exact"}) {
     HhTrackerConfig cfg;
-    cfg.protocol = proto;
+    cfg.protocol = name;
     ContinuousHeavyHitterTracker t(cfg);
-    EXPECT_EQ(t.protocol_name(), want);
+    EXPECT_EQ(t.protocol_name(), name);
   }
 }
 
@@ -91,7 +78,7 @@ TEST(HhTrackerFacadeTest, HeavyHittersMatchExactOracle) {
   HhTrackerConfig cfg;
   cfg.num_sites = 8;
   cfg.epsilon = 0.01;
-  cfg.protocol = HhProtocol::kP2Threshold;
+  cfg.protocol = "p2";
   ContinuousHeavyHitterTracker tracker(cfg);
 
   data::ZipfianStream z(5000, 2.0, 100.0, 4);
@@ -111,6 +98,15 @@ TEST(HhTrackerFacadeTest, HeavyHittersMatchExactOracle) {
   }
   EXPECT_NEAR(tracker.EstimateTotalWeight(), truth.total_weight(),
               cfg.epsilon * truth.total_weight());
+}
+
+TEST(TrackerFacadeDeathTest, NameTheFacadeCannotBuildAborts) {
+  MatrixTrackerConfig matrix_cfg;
+  matrix_cfg.protocol = "fd";  // needs a rank k
+  EXPECT_DEATH(ContinuousMatrixTracker{matrix_cfg}, "DMT_CHECK");
+  HhTrackerConfig hh_cfg;
+  hh_cfg.protocol = "mp2";  // the other family
+  EXPECT_DEATH(ContinuousHeavyHitterTracker{hh_cfg}, "DMT_CHECK");
 }
 
 TEST(HhTrackerFacadeDeathTest, OutOfRangeSiteAborts) {

@@ -7,12 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/registry.h"
 #include "data/zipf.h"
-#include "hh/exact_tracker.h"
-#include "hh/p1_batched_mg.h"
-#include "hh/p2_threshold.h"
-#include "hh/p3_sampling.h"
-#include "hh/p4_randomized.h"
 #include "stream/router.h"
 
 namespace dmt {
@@ -22,23 +18,16 @@ namespace {
 constexpr size_t kStreamLen = 30000;
 constexpr double kBeta = 100.0;
 
-std::unique_ptr<HeavyHitterProtocol> MakeProtocol(const std::string& name,
-                                                  size_t m, double eps) {
-  if (name == "P1") return std::make_unique<P1BatchedMG>(m, eps);
-  if (name == "P2") return std::make_unique<P2Threshold>(m, eps);
-  if (name == "P3wor") return std::make_unique<P3SamplingWoR>(m, eps, 42);
-  if (name == "P3wr") return std::make_unique<P3SamplingWR>(m, eps, 42);
-  if (name == "P4") return std::make_unique<P4Randomized>(m, eps, 42);
-  return std::make_unique<ExactTracker>(m);
-}
-
+// The sweeps keep the paper's labels ("P1", "P3wor"), which name their
+// CTest cases; a label's registry name is "p" + label.substr(1).
 class HhProtocolPropertyTest
     : public ::testing::TestWithParam<
           std::tuple<std::string, size_t, double>> {};
 
 TEST_P(HhProtocolPropertyTest, ErrorRecallAndCommunication) {
   auto [name, m, eps] = GetParam();
-  auto protocol = MakeProtocol(name, m, eps);
+  auto protocol = MakeHhProtocol("p" + name.substr(1), {m, eps, 42});
+  ASSERT_NE(protocol, nullptr);
 
   data::ZipfianStream z(10000, 2.0, kBeta, 77);
   stream::Router router(m, stream::RoutingPolicy::kUniform, 78);
@@ -52,8 +41,8 @@ TEST_P(HhProtocolPropertyTest, ErrorRecallAndCommunication) {
 
   // Deterministic protocols must meet eps exactly; randomized ones get a
   // 3x allowance for the fixed seed.
-  const bool deterministic = (name == "P1" || name == "P2");
-  const double slack = deterministic ? 1.0 : 3.0;
+  const double slack =
+      FindProtocol(protocol->name())->deterministic ? 1.0 : 3.0;
   for (uint64_t e = 0; e < 30; ++e) {
     EXPECT_NEAR(protocol->EstimateElementWeight(e), truth.Weight(e),
                 slack * eps * w)
@@ -96,8 +85,10 @@ TEST_P(HhScaleInvarianceTest, WeightScalingScalesEstimates) {
   const std::string name = GetParam();
   const size_t m = 8;
   const double eps = 0.05;
-  auto p_base = MakeProtocol(name, m, eps);
-  auto p_scaled = MakeProtocol(name, m, eps);
+  auto p_base = MakeHhProtocol("p" + name.substr(1), {m, eps, 42});
+  auto p_scaled = MakeHhProtocol("p" + name.substr(1), {m, eps, 42});
+  ASSERT_NE(p_base, nullptr);
+  ASSERT_NE(p_scaled, nullptr);
 
   data::ZipfianStream z(1000, 2.0, 10.0, 5);
   stream::Router router(m, stream::RoutingPolicy::kUniform, 6);
@@ -125,14 +116,14 @@ TEST(HhCommunicationGrowthTest, P2MessagesSublinearInStreamLength) {
   const double eps = 0.01;
   uint64_t msgs_at[3];
   size_t idx = 0;
-  P2Threshold p(m, eps);
+  auto p = MakeHhProtocol("p2", {m, eps});
   data::ZipfianStream z(10000, 2.0, kBeta, 9);
   stream::Router router(m, stream::RoutingPolicy::kUniform, 10);
   for (size_t i = 0; i < 80000; ++i) {
     data::WeightedItem item = z.Next();
-    p.Process(router.NextSite(), item.element, item.weight);
+    p->Process(router.NextSite(), item.element, item.weight);
     if (i + 1 == 20000 || i + 1 == 40000 || i + 1 == 80000) {
-      msgs_at[idx++] = p.comm_stats().total();
+      msgs_at[idx++] = p->comm_stats().total();
     }
   }
   // Doubling the stream must far less than double the messages.

@@ -7,6 +7,7 @@
 
 #include "core/continuous_hh_tracker.h"
 #include "core/continuous_matrix_tracker.h"
+#include "core/registry.h"
 #include "data/synthetic_matrix.h"
 #include "data/zipf.h"
 #include "matrix/error.h"
@@ -19,9 +20,7 @@ TEST(IntegrationTest, AllMatrixProtocolsTrackTheSameStream) {
   const size_t m = 10;
   const double eps = 0.15;
   std::vector<std::unique_ptr<ContinuousMatrixTracker>> trackers;
-  for (auto proto :
-       {MatrixProtocol::kP1BatchedFD, MatrixProtocol::kP2SvdThreshold,
-        MatrixProtocol::kP3SampleWoR, MatrixProtocol::kP3SampleWR}) {
+  for (const char* proto : {"mp1", "mp2", "mp3wor", "mp3wr"}) {
     MatrixTrackerConfig cfg;
     cfg.num_sites = m;
     cfg.epsilon = eps;
@@ -49,7 +48,8 @@ TEST(IntegrationTest, AllMatrixProtocolsTrackTheSameStream) {
       for (auto& t : trackers) {
         const double err =
             matrix::CovarianceError(truth, t->SketchGram());
-        const double slack = t->protocol_name()[1] == '3' ? 3.0 : 1.0;
+        const double slack =
+            FindProtocol(t->protocol_name())->deterministic ? 1.0 : 3.0;
         ASSERT_LE(err, slack * eps + 1e-9)
             << t->protocol_name() << " at prefix " << i + 1;
       }
@@ -66,8 +66,7 @@ TEST(IntegrationTest, AllHhProtocolsTrackTheSameStream) {
   const size_t m = 10;
   const double eps = 0.02;
   std::vector<std::unique_ptr<ContinuousHeavyHitterTracker>> trackers;
-  for (auto proto : {HhProtocol::kP1BatchedMG, HhProtocol::kP2Threshold,
-                     HhProtocol::kP3SampleWoR, HhProtocol::kP4Randomized}) {
+  for (const char* proto : {"p1", "p2", "p3wor", "p4"}) {
     HhTrackerConfig cfg;
     cfg.num_sites = m;
     cfg.epsilon = eps;
@@ -100,10 +99,8 @@ TEST(IntegrationTest, AllHhProtocolsTrackTheSameStream) {
     }
     // Weight estimates of the true heavy hitters are accurate.
     for (uint64_t e : truth_hh) {
-      const double slack = (t->protocol_name() == "P1" ||
-                            t->protocol_name() == "P2")
-                               ? 1.0
-                               : 3.0;
+      const double slack =
+          FindProtocol(t->protocol_name())->deterministic ? 1.0 : 3.0;
       EXPECT_NEAR(t->EstimateWeight(e), truth.Weight(e), slack * eps * w)
           << t->protocol_name();
     }
@@ -119,8 +116,8 @@ TEST(IntegrationTest, CommunicationOrderingMatchesPaperAtSmallEpsilon) {
   HhTrackerConfig c1, c2;
   c1.num_sites = c2.num_sites = m;
   c1.epsilon = c2.epsilon = eps;
-  c1.protocol = HhProtocol::kP1BatchedMG;
-  c2.protocol = HhProtocol::kP2Threshold;
+  c1.protocol = "p1";
+  c2.protocol = "p2";
   ContinuousHeavyHitterTracker p1(c1), p2(c2);
 
   data::ZipfianStream z(10000, 2.0, 100.0, 10);

@@ -6,32 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include "core/registry.h"
 #include "data/synthetic_matrix.h"
 #include "matrix/error.h"
-#include "matrix/mp1_batched_fd.h"
-#include "matrix/mp2_svd_threshold.h"
-#include "matrix/mp3_sampling.h"
 #include "stream/router.h"
 
 namespace dmt {
 namespace matrix {
 namespace {
 
-std::unique_ptr<MatrixTrackingProtocol> MakeProtocol(const std::string& name,
-                                                     size_t m, double eps) {
-  if (name == "P1") return std::make_unique<MP1BatchedFD>(m, eps);
-  if (name == "P2") return std::make_unique<MP2SvdThreshold>(m, eps);
-  if (name == "P3wor") return std::make_unique<MP3SamplingWoR>(m, eps, 42);
-  return std::make_unique<MP3SamplingWR>(m, eps, 42);
-}
-
+// The sweep keeps the paper's labels ("P1", "P3wor"), which name its CTest
+// cases; a label's registry name is "mp" + label.substr(1).
 class MatrixProtocolPropertyTest
     : public ::testing::TestWithParam<
           std::tuple<std::string, size_t, double, int>> {};
 
 TEST_P(MatrixProtocolPropertyTest, GuaranteeHolds) {
   auto [name, m, eps, regime] = GetParam();
-  auto protocol = MakeProtocol(name, m, eps);
+  auto protocol = MakeMatrixProtocol("mp" + name.substr(1), {m, eps, 42});
+  ASSERT_NE(protocol, nullptr);
 
   data::SyntheticMatrixConfig cfg;
   cfg.dim = regime == 0 ? 12 : 16;
@@ -51,7 +44,7 @@ TEST_P(MatrixProtocolPropertyTest, GuaranteeHolds) {
   }
 
   const double err = CovarianceError(truth, protocol->CoordinatorGram());
-  const bool deterministic = (name == "P1" || name == "P2");
+  const bool deterministic = FindProtocol(protocol->name())->deterministic;
   const double slack = deterministic ? 1.0 : (name == "P3wor" ? 2.0 : 4.0);
   EXPECT_LE(err, slack * eps + 1e-9)
       << name << " m=" << m << " eps=" << eps << " regime=" << regime;
@@ -72,7 +65,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MatrixMetamorphicTest, SiteRelabelingDoesNotChangeP2) {
   const size_t m = 6;
   const double eps = 0.1;
-  MP2SvdThreshold a(m, eps), b(m, eps);
+  auto a = MakeMatrixProtocol("mp2", {m, eps});
+  auto b = MakeMatrixProtocol("mp2", {m, eps});
   data::SyntheticMatrixConfig cfg;
   cfg.dim = 8;
   cfg.latent_rank = 3;
@@ -82,11 +76,11 @@ TEST(MatrixMetamorphicTest, SiteRelabelingDoesNotChangeP2) {
   for (size_t i = 0; i < 5000; ++i) {
     std::vector<double> row = gen.Next();
     size_t site = router.NextSite();
-    a.ProcessRow(site, row);
-    b.ProcessRow((site + 1) % m, row);  // relabeled sites
+    a->ProcessRow(site, row);
+    b->ProcessRow((site + 1) % m, row);  // relabeled sites
   }
-  EXPECT_LT(a.CoordinatorGram().MaxAbsDiff(b.CoordinatorGram()),
-            1e-9 * a.CoordinatorGram().SquaredFrobeniusNorm() + 1e-12);
+  EXPECT_LT(a->CoordinatorGram().MaxAbsDiff(b->CoordinatorGram()),
+            1e-9 * a->CoordinatorGram().SquaredFrobeniusNorm() + 1e-12);
 }
 
 // Rescaling all rows by c scales the coordinator Gram by c^2 (P2 is
@@ -95,7 +89,8 @@ TEST(MatrixMetamorphicTest, RowScalingScalesGramP2) {
   const size_t m = 4;
   const double eps = 0.1;
   const double c = 3.0;
-  MP2SvdThreshold a(m, eps), b(m, eps);
+  auto a = MakeMatrixProtocol("mp2", {m, eps});
+  auto b = MakeMatrixProtocol("mp2", {m, eps});
   data::SyntheticMatrixConfig cfg;
   cfg.dim = 8;
   cfg.latent_rank = 3;
@@ -107,13 +102,13 @@ TEST(MatrixMetamorphicTest, RowScalingScalesGramP2) {
     std::vector<double> scaled = row;
     for (auto& v : scaled) v *= c;
     size_t site = router.NextSite();
-    a.ProcessRow(site, row);
-    b.ProcessRow(site, scaled);
+    a->ProcessRow(site, row);
+    b->ProcessRow(site, scaled);
   }
-  linalg::Matrix ga = a.CoordinatorGram();
+  linalg::Matrix ga = a->CoordinatorGram();
   ga.ScaleBy(c * c);
-  EXPECT_LT(ga.MaxAbsDiff(b.CoordinatorGram()),
-            1e-8 * b.CoordinatorGram().SquaredFrobeniusNorm() + 1e-12);
+  EXPECT_LT(ga.MaxAbsDiff(b->CoordinatorGram()),
+            1e-8 * b->CoordinatorGram().SquaredFrobeniusNorm() + 1e-12);
 }
 
 }  // namespace

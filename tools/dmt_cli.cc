@@ -2,22 +2,22 @@
 // synthetic data.
 //
 // Examples:
-//   dmt_cli --mode=matrix --protocol=P2 --eps=0.1 --sites=50 --synthetic=pamap --rows=100000
-//   dmt_cli --mode=matrix --protocol=P3 --input=features.csv --eps=0.05
-//   dmt_cli --mode=matrix --protocol=P2 --dataset=pamap --data-dir=./data
-//   dmt_cli --mode=hh --protocol=P2 --eps=0.001 --rows=1000000 --phi=0.05
+//   dmt_cli --protocol=mp2 --eps=0.1 --sites=50 --synthetic=pamap --rows=100000
+//   dmt_cli --protocol=mp3wor --input=features.csv --eps=0.05
+//   dmt_cli --protocol=mp2 --dataset=pamap --data-dir=./data
+//   dmt_cli --protocol=p2 --eps=0.001 --rows=1000000 --phi=0.05
 //
-// For matrix mode the tool reports the continuous approximation error
-// against the exact covariance at checkpoints; for hh mode it prints the
-// final heavy hitters with true vs tracked weights.
+// --protocol takes a core/registry.h name, and the name's family picks the
+// run. A matrix protocol reports the continuous approximation error
+// against the exact covariance at checkpoints; a heavy-hitter protocol
+// prints the final heavy hitters with true vs tracked weights.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "core/continuous_hh_tracker.h"
-#include "core/continuous_matrix_tracker.h"
+#include "core/registry.h"
 #include "data/csv.h"
 #include "data/dataset.h"
 #include "data/synthetic_matrix.h"
@@ -29,8 +29,7 @@
 namespace {
 
 struct Args {
-  std::string mode = "matrix";       // matrix | hh
-  std::string protocol = "P2";       // P1 | P2 | P3 | P3wr | P4 | exact(hh)
+  std::string protocol = "mp2";      // a registry name (core/registry.h)
   std::string input;                 // CSV path (matrix mode)
   std::string dataset;               // registry name (matrix mode)
   std::string data_dir;              // raw files / .dmtbin caches
@@ -57,8 +56,7 @@ Args Parse(int argc, char** argv) {
   Args a;
   std::string v;
   for (int i = 1; i < argc; ++i) {
-    if (ParseArg(argv[i], "--mode", &v)) a.mode = v;
-    else if (ParseArg(argv[i], "--protocol", &v)) a.protocol = v;
+    if (ParseArg(argv[i], "--protocol", &v)) a.protocol = v;
     else if (ParseArg(argv[i], "--input", &v)) a.input = v;
     else if (ParseArg(argv[i], "--dataset", &v)) a.dataset = v;
     else if (ParseArg(argv[i], "--data-dir", &v)) a.data_dir = v;
@@ -79,34 +77,8 @@ Args Parse(int argc, char** argv) {
   return a;
 }
 
-dmt::MatrixProtocol MatrixProtocolFromName(const std::string& name) {
-  if (name == "P1") return dmt::MatrixProtocol::kP1BatchedFD;
-  if (name == "P2") return dmt::MatrixProtocol::kP2SvdThreshold;
-  if (name == "P3") return dmt::MatrixProtocol::kP3SampleWoR;
-  if (name == "P3wr") return dmt::MatrixProtocol::kP3SampleWR;
-  if (name == "P4") return dmt::MatrixProtocol::kP4Experimental;
-  std::fprintf(stderr, "unknown matrix protocol: %s\n", name.c_str());
-  std::exit(2);
-}
-
-dmt::HhProtocol HhProtocolFromName(const std::string& name) {
-  if (name == "P1") return dmt::HhProtocol::kP1BatchedMG;
-  if (name == "P2") return dmt::HhProtocol::kP2Threshold;
-  if (name == "P3") return dmt::HhProtocol::kP3SampleWoR;
-  if (name == "P3wr") return dmt::HhProtocol::kP3SampleWR;
-  if (name == "P4") return dmt::HhProtocol::kP4Randomized;
-  if (name == "exact") return dmt::HhProtocol::kExact;
-  std::fprintf(stderr, "unknown hh protocol: %s\n", name.c_str());
-  std::exit(2);
-}
-
-int RunMatrix(const Args& args) {
-  dmt::MatrixTrackerConfig cfg;
-  cfg.num_sites = args.sites;
-  cfg.epsilon = args.eps;
-  cfg.seed = args.seed;
-  cfg.protocol = MatrixProtocolFromName(args.protocol);
-  dmt::ContinuousMatrixTracker tracker(cfg);
+int RunMatrix(const Args& args,
+              dmt::matrix::MatrixTrackingProtocol* protocol) {
   dmt::stream::Router router(args.sites,
                              dmt::stream::RoutingPolicy::kUniform,
                              args.seed + 1);
@@ -165,27 +137,22 @@ int RunMatrix(const Args& args) {
     std::vector<double> row =
         csv.empty() ? gen->Next() : csv.RowVector(i);
     truth.AddRow(row);
-    tracker.Append(router.NextSite(), row);
+    protocol->ProcessRow(router.NextSite(), row);
     if ((i + 1) % checkpoint == 0 || i + 1 == n) {
       std::printf("%12zu  %12.6f  %12llu\n", i + 1,
-                  dmt::matrix::CovarianceError(truth, tracker.SketchGram()),
+                  dmt::matrix::CovarianceError(truth,
+                                               protocol->CoordinatorGram()),
                   static_cast<unsigned long long>(
-                      tracker.comm_stats().total()));
+                      protocol->comm_stats().total()));
     }
   }
   std::printf("\nnaive would send %zu messages; protocol sent %llu\n", n,
               static_cast<unsigned long long>(
-                  tracker.comm_stats().total()));
+                  protocol->comm_stats().total()));
   return 0;
 }
 
-int RunHh(const Args& args) {
-  dmt::HhTrackerConfig cfg;
-  cfg.num_sites = args.sites;
-  cfg.epsilon = args.eps;
-  cfg.seed = args.seed;
-  cfg.protocol = HhProtocolFromName(args.protocol);
-  dmt::ContinuousHeavyHitterTracker tracker(cfg);
+int RunHh(const Args& args, dmt::hh::HeavyHitterProtocol* protocol) {
   dmt::stream::Router router(args.sites,
                              dmt::stream::RoutingPolicy::kUniform,
                              args.seed + 1);
@@ -198,20 +165,20 @@ int RunHh(const Args& args) {
   for (size_t i = 0; i < args.rows; ++i) {
     dmt::data::WeightedItem item = z.Next();
     truth.Observe(item);
-    tracker.Observe(router.NextSite(), item.element, item.weight);
+    protocol->Process(router.NextSite(), item.element, item.weight);
   }
 
   std::printf("%-10s %-16s %-16s\n", "element", "weight(true)",
               "weight(tracked)");
-  for (uint64_t e : tracker.HeavyHitters(args.phi)) {
+  for (uint64_t e : protocol->HeavyHitters(args.phi, args.eps)) {
     std::printf("%-10llu %-16.1f %-16.1f\n",
                 static_cast<unsigned long long>(e), truth.Weight(e),
-                tracker.EstimateWeight(e));
+                protocol->EstimateElementWeight(e));
   }
   std::printf("\nmessages: %llu of %zu naive (%.2f%%)\n",
-              static_cast<unsigned long long>(tracker.comm_stats().total()),
+              static_cast<unsigned long long>(protocol->comm_stats().total()),
               args.rows,
-              100.0 * static_cast<double>(tracker.comm_stats().total()) /
+              100.0 * static_cast<double>(protocol->comm_stats().total()) /
                   static_cast<double>(args.rows));
   return 0;
 }
@@ -219,10 +186,23 @@ int RunHh(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
-  if (args.mode == "matrix") return RunMatrix(args);
-  if (args.mode == "hh") return RunHh(args);
-  std::fprintf(stderr, "unknown mode: %s (use matrix|hh)\n",
-               args.mode.c_str());
+  const Args args = Parse(argc, argv);
+  const dmt::TrackerConfig config{args.sites, args.eps, args.seed};
+  if (auto hh = dmt::MakeHhProtocol(args.protocol, config)) {
+    return RunHh(args, hh.get());
+  }
+  if (auto matrix = dmt::MakeMatrixProtocol(args.protocol, config)) {
+    return RunMatrix(args, matrix.get());
+  }
+  // fd and svd need a rank k, which dmt_cli does not take.
+  std::fprintf(stderr, "cannot run protocol %s; dmt_cli runs:",
+               args.protocol.c_str());
+  for (const dmt::ProtocolInfo& row : dmt::Protocols()) {
+    if (dmt::MakeHhProtocol(row.name, config) != nullptr ||
+        dmt::MakeMatrixProtocol(row.name, config) != nullptr) {
+      std::fprintf(stderr, " %s", row.name);
+    }
+  }
+  std::fprintf(stderr, "\n");
   return 2;
 }
