@@ -1,9 +1,10 @@
 // Ablation benches for design choices called out in DESIGN.md:
 //
-//  1. MP2's lazy trace-guard: how many eigendecompositions the guard
-//     performs versus the paper's literal per-row svd formulation (the
-//     guard sends identical messages — verified in tests — at a fraction
-//     of the decompositions).
+//  1. MP2's lazy check guard (trace guard plus leading-pair
+//     certificate): how many eigendecompositions the guard performs
+//     versus the paper's literal per-row svd formulation (the guard sends
+//     identical messages — verified in tests — at a fraction of the
+//     decompositions).
 //  2. MP4 basis re-alignment: the appendix's sketched fix (periodic FD
 //     re-alignment) versus plain P4 — error repaired vs extra messages.
 //  3. MP3 sampling modes: without- vs with-replacement at equal eps.
@@ -23,7 +24,9 @@ using namespace dmt::bench;
 void AblationMp2TraceGuard() {
   const size_t n = static_cast<size_t>(ScaledN(200000, 2, 20));
   const size_t m = 50;
-  TablePrinter t("Ablation 1: MP2 lazy trace-guard (PAMAP-like stream)");
+  TablePrinter t(
+      "Ablation 1: MP2 trace guard plus leading-pair certificate "
+      "(PAMAP-like stream)");
   t.SetHeader({"eps", "rows", "eigendecompositions", "decomp/row",
                "messages", "err"});
   for (double eps : {5e-2, 1e-1, 5e-1}) {

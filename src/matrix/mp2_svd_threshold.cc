@@ -176,9 +176,42 @@ void MP2SvdThreshold::ElementPhase(size_t site,
   std::copy(row.begin(), row.end(), st.stage.Row(st.staged));
   if (++st.staged == kStageRows) FoldStagedRows(&st);
   st.trace += w;
+  if (st.pair_active) {
+    // The row's component along the certificate's pair u (= st.seed).
+    const double c = linalg::Dot(st.seed.data(), row.data(), dim_);
+    st.pair_rho += c * c;
+    linalg::Axpy(c, row.data(), st.pair_r.data(), dim_);
+  }
   if (st.trace >= threshold && st.trace >= st.next_check) {
+    if (st.pair_active) {
+      const double bound = PairBound(st);
+      if (bound < threshold) {
+        // No direction can have reached the threshold: the literal
+        // algorithm ships nothing at this row, so skip the check.
+        st.next_check = st.trace + (threshold - bound);
+        return;
+      }
+    }
     MaybeSendDirections(site, sink);
   }
+}
+
+double MP2SvdThreshold::PairBound(const SiteState& st) {
+  // The header comment's 2 x 2, in closed form; beta from the difference
+  // r - rho u itself (see there).
+  const size_t d = st.pair_r.size();
+  double off = 0.0;
+  for (size_t i = 0; i < d; ++i) {
+    const double e = st.pair_r[i] - st.pair_rho * st.seed[i];
+    off += e * e;
+  }
+  const double beta = std::sqrt(off) + st.pair_slack;
+  const double tau = st.trace - st.pair_trace0;
+  const double a = st.pair_theta + st.pair_rho + st.pair_slack;
+  const double b = st.pair_mu + (tau - st.pair_rho) + st.pair_slack +
+                   1e-9 * std::fabs(st.trace);
+  const double half_gap = 0.5 * (a - b);
+  return 0.5 * (a + b) + std::sqrt(half_gap * half_gap + beta * beta);
 }
 
 void MP2SvdThreshold::FoldStagedRows(SiteState* st) {
@@ -275,9 +308,19 @@ void MP2SvdThreshold::MaybeSendDirections(size_t site,
       shipped < count ? std::max(0.0, st.vals[shipped]) : 0.0;
   const double bound = std::max(remaining_top, leftover) + slack;
   st.next_check = st.trace + (threshold - bound);
-  // Warm-start the next check from the leading remaining direction.
-  if (shipped < count) {
+  // Warm-start the next check from the leading remaining direction, which
+  // is also the certificate's pair u; the kept pairs below it and the
+  // un-computed remainder bound the rest of the spectrum.
+  st.pair_active = shipped < count;
+  if (st.pair_active) {
     st.seed.assign(st.vecs.Row(shipped), st.vecs.Row(shipped) + d);
+    st.pair_theta = st.vals[shipped];
+    const double below = shipped + 1 < count ? st.vals[shipped + 1] : 0.0;
+    st.pair_mu = std::max(below, leftover) + slack;
+    st.pair_slack = slack;
+    st.pair_trace0 = st.trace;
+    st.pair_rho = 0.0;
+    st.pair_r.assign(d, 0.0);
   }
 }
 

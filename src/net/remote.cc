@@ -265,12 +265,20 @@ bool RunWireCoordinator(WireAdapter* adapter,
   report->bytes_from_site.assign(m, 0);
   report->bytes_to_site.assign(m, 0);
 
+  CarriedHeader ahead;
+  std::vector<uint8_t> broadcast;
   for (size_t w = 0; w < num_windows; ++w) {
-    // Ascending-site drain: the oracle's SynchronizeSites() order.
+    // Ascending-site drain: the oracle's SynchronizeSites() order. A site
+    // ends every window with kWindowEnd, so each data frame's payload is
+    // read with the next frame's header; nothing is carried from one
+    // site's window to the next, since each ends on that control frame.
     for (size_t s = 0; s < m; ++s) {
       Connection* conn = (*channels)[s].get();
       while (true) {
-        if (!RecvFrame(conn, &header, &payload, error)) return false;
+        if (!RecvFrame(conn, &header, &payload, error, &ahead)) {
+          *error = "coordinator: site " + std::to_string(s) + ": " + *error;
+          return false;
+        }
         ++report->frames_received;
         if (header.type == MsgType::kWindowEnd) {
           WindowEndMsg end;
@@ -290,13 +298,17 @@ bool RunWireCoordinator(WireAdapter* adapter,
       }
     }
 
+    // One encoding of the broadcast frame, the same bytes to every site.
     BroadcastMsg b;
     b.window = w;
     b.value = adapter->BroadcastValue();
     payload.clear();
     EncodeBroadcast(b, &payload);
+    broadcast.clear();
+    AppendFrame(MsgType::kBroadcast, payload.data(), payload.size(),
+                &broadcast);
     for (size_t s = 0; s < m; ++s) {
-      if (!SendFrame((*channels)[s].get(), MsgType::kBroadcast, payload)) {
+      if (!(*channels)[s]->Send(broadcast.data(), broadcast.size())) {
         *error = "coordinator: broadcast to site " + std::to_string(s) +
                  " failed";
         return false;

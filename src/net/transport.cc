@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -18,11 +19,21 @@ namespace dmt {
 namespace net {
 namespace {
 
+// The protocol-message frames a site sends inside a window; every other
+// type is a control frame.
+bool IsDataFrame(MsgType t) {
+  return t == MsgType::kHHFlush || t == MsgType::kMatrixScalar ||
+         t == MsgType::kMatrixDirection || t == MsgType::kFdSketch;
+}
+
 /// Blocking full-duplex TCP socket. TCP_NODELAY is set so a window's
 /// single batched Send leaves immediately instead of waiting on Nagle.
+/// Recv serves small reads from a receive buffer that one `recv` refills
+/// with whatever has arrived, so reading a window's frames costs about
+/// one syscall per window rather than one or two per frame.
 class TcpConnection : public Connection {
  public:
-  explicit TcpConnection(int fd) : fd_(fd) {
+  explicit TcpConnection(int fd) : fd_(fd), buf_(kRecvBufferBytes) {
     int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
@@ -46,15 +57,30 @@ class TcpConnection : public Connection {
   }
 
   bool Recv(uint8_t* data, size_t n) override {
-    size_t off = 0;
+    size_t off = std::min(n, end_ - begin_);
+    if (off != 0) std::memcpy(data, buf_.data() + begin_, off);
+    begin_ += off;
     while (off < n) {
-      const ssize_t r = ::recv(fd_, data + off, n - off, 0);
+      // A request at least the buffer's size bypasses it; a smaller one
+      // refills it with one recv of whatever has arrived.
+      const bool direct = n - off >= buf_.size();
+      uint8_t* into = direct ? data + off : buf_.data();
+      const ssize_t r =
+          ::recv(fd_, into, direct ? n - off : buf_.size(), 0);
       if (r < 0) {
         if (errno == EINTR) continue;
         return false;
       }
       if (r == 0) return false;  // orderly peer close mid-message
-      off += static_cast<size_t>(r);
+      if (direct) {
+        off += static_cast<size_t>(r);
+        continue;
+      }
+      const size_t take = std::min(n - off, static_cast<size_t>(r));
+      std::memcpy(data + off, buf_.data(), take);
+      off += take;
+      begin_ = take;
+      end_ = static_cast<size_t>(r);
     }
     CountReceived(n);
     return true;
@@ -69,7 +95,12 @@ class TcpConnection : public Connection {
   }
 
  private:
+  static constexpr size_t kRecvBufferBytes = 32 * 1024;
+
   int fd_;
+  std::vector<uint8_t> buf_;  // received bytes not yet delivered:
+  size_t begin_ = 0;          // buf_[begin_, end_)
+  size_t end_ = 0;
 };
 
 /// One direction of the in-memory pair: a byte queue with blocking reads.
@@ -161,19 +192,32 @@ bool SendFrame(Connection* conn, MsgType type,
 // dmt-lint: allow(untrusted-abort-path): virtual Recv is a byte copy, returns false on failure
 DMT_UNTRUSTED_INPUT
 bool RecvFrame(Connection* conn, FrameHeader* header,
-               std::vector<uint8_t>* payload, std::string* error) {
+               std::vector<uint8_t>* payload, std::string* error,
+               CarriedHeader* carried) {
   uint8_t raw[kFrameHeaderBytes];
-  if (!conn->Recv(raw, kFrameHeaderBytes)) {
+  const uint8_t* head = raw;
+  if (carried != nullptr && carried->valid) {
+    head = carried->bytes;
+  } else if (!conn->Recv(raw, kFrameHeaderBytes)) {
     if (error != nullptr) *error = "frame: channel closed";
     return false;
   }
-  if (!DecodeFrameHeader(raw, header, error)) return false;
-  payload->resize(header->payload_len);
-  if (header->payload_len != 0 &&
-      !conn->Recv(payload->data(), header->payload_len)) {
+  if (!DecodeFrameHeader(head, header, error)) return false;
+  const size_t len = header->payload_len;
+  const bool ahead = carried != nullptr && IsDataFrame(header->type);
+  const size_t want = len + (ahead ? kFrameHeaderBytes : 0);
+  payload->resize(want);
+  if (want != 0 && !conn->Recv(payload->data(), want)) {
     if (error != nullptr) *error = "frame: channel closed mid-payload";
     return false;
   }
+  if (carried != nullptr) {
+    carried->valid = ahead;
+    if (ahead) {
+      std::memcpy(carried->bytes, payload->data() + len, kFrameHeaderBytes);
+    }
+  }
+  payload->resize(len);
   return CheckFrameCrc(*header, payload->data(), error);
 }
 

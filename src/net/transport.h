@@ -104,10 +104,24 @@ class FrameBatch {
 bool SendFrame(Connection* conn, MsgType type,
                const std::vector<uint8_t>& payload);
 
+/// A frame header RecvFrame read ahead of its frame.
+struct CarriedHeader {
+  bool valid = false;
+  uint8_t bytes[kFrameHeaderBytes] = {};
+};
+
 /// Receives one frame: header, validation, payload, CRC check. Returns
 /// false with `*error` set on a closed channel or a malformed frame.
+///
+/// With `carried`, a valid carried header stands in for the header read,
+/// and a data frame's payload is read together with the next frame's
+/// header, which is left in `*carried`. Only a reader that knows another
+/// frame follows every data frame may pass it: the wire coordinator's
+/// window drain, since a site ends each window with kWindowEnd. A
+/// control frame's payload is read alone and clears `*carried`.
 bool RecvFrame(Connection* conn, FrameHeader* header,
-               std::vector<uint8_t>* payload, std::string* error);
+               std::vector<uint8_t>* payload, std::string* error,
+               CarriedHeader* carried = nullptr);
 
 /// Listening socket bound to 127.0.0.1 (or all interfaces with
 /// `any_interface`); `port` 0 picks an ephemeral port, readable from

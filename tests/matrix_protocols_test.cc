@@ -113,6 +113,29 @@ TEST(MP2Test, LazyDecompositionsFarFewerThanRows) {
   EXPECT_LT(p.decomposition_count(), n / 4);
 }
 
+// Between checks a site bounds its lambda_max with the last check's
+// leading unshipped Ritz pair, not with the trace alone. On this stream
+// (PAMAP-like rows, 3 sites, the wire workload's 1024-arrival windows)
+// the trace rule alone runs 970 checks; the pair certificate must skip
+// at least 60% of them.
+TEST(MP2Test, PairCertificateSkipsMostThresholdChecks) {
+  const size_t n = 20000;
+  data::SyntheticMatrixGenerator gen(
+      data::SyntheticMatrixGenerator::PamapLike(4));
+  std::vector<std::vector<double>> rows(n);
+  for (std::vector<double>& row : rows) row = gen.Next();
+  stream::Router router(3, stream::RoutingPolicy::kUniform, 5);
+  const std::vector<size_t> sites = stream::AssignSites(&router, n);
+
+  MP2SvdThreshold p(3, 0.1);
+  stream::SimulationOptions opt;
+  opt.threads = 1;
+  opt.chunk_elements = 1024;
+  stream::SimulationDriver driver(opt);
+  driver.Run(&p, sites, rows);
+  EXPECT_LE(p.decomposition_count(), 388u);  // 40% of 970
+}
+
 TEST(MP2Test, CommunicationFarBelowNaive) {
   const size_t n = 20000;
   MP2SvdThreshold p(10, 0.2);

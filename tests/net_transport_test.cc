@@ -3,12 +3,16 @@
 // distributed run (coordinator + site runners on real channels) finishes
 // with coordinator state and CommStats bit-identical to the in-process
 // SimulationDriver oracle, for both P1 and MP2, over both transports,
-// and publishes the oracle's snapshot at every window. Also: values no
-// honest peer sends (non-finite or non-positive masses) are rejected
-// before they reach protocol state, on both halves.
+// also when a site's bytes arrive one at a time, and publishes the
+// oracle's snapshot at every window. Also: values no honest peer sends
+// (non-finite or non-positive masses) are rejected before they reach
+// protocol state, on both halves, and a site that breaks the window
+// framing fails the coordinator promptly, naming the site.
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -131,6 +135,89 @@ TEST(TcpTransportTest, LoopbackFrameEcho) {
   EXPECT_EQ(client->bytes_sent(), kFrameHeaderBytes + payload.size());
 }
 
+// Per-site channel pairs: the site ends and the coordinator ends.
+struct Channels {
+  std::vector<std::unique_ptr<Connection>> site_ends;
+  std::vector<std::unique_ptr<Connection>> coord_ends;
+};
+
+Channels LocalChannels(size_t sites) {
+  Channels c;
+  for (size_t s = 0; s < sites; ++s) {
+    auto [site_end, coord_end] = MakeLocalPair();
+    c.site_ends.push_back(std::move(site_end));
+    c.coord_ends.push_back(std::move(coord_end));
+  }
+  return c;
+}
+
+// Sites connect on threads while this thread accepts, so the coordinator
+// ends come in accept order; RunWireCoordinator's handshake reorders them.
+Channels TcpChannels(size_t sites) {
+  Channels c;
+  std::string error;
+  auto listener = TcpListener::Listen(0, &error);
+  EXPECT_NE(listener, nullptr) << error;
+  if (listener == nullptr) return c;
+  c.site_ends.resize(sites);
+  std::vector<std::thread> dialers;
+  for (size_t s = 0; s < sites; ++s) {
+    dialers.emplace_back([&, s] {
+      std::string connect_error;
+      c.site_ends[s] =
+          TcpConnect("127.0.0.1", listener->port(), &connect_error);
+    });
+  }
+  for (size_t s = 0; s < sites; ++s) {
+    auto conn = listener->Accept(&error);
+    EXPECT_NE(conn, nullptr) << error;
+    c.coord_ends.push_back(std::move(conn));
+  }
+  for (auto& t : dialers) t.join();
+  for (const auto& conn : c.site_ends) EXPECT_NE(conn, nullptr);
+  return c;
+}
+
+// TcpConnection::Recv serves small reads from a receive buffer and copies
+// a read at least the buffer's size straight into the caller's memory:
+// frames on either side of, and far larger than, that buffer arrive
+// intact, and every byte is counted once.
+TEST(TcpTransportTest, BufferedReadsKeepFramesAndByteCountsIntact) {
+  Channels c = TcpChannels(1);
+  ASSERT_EQ(c.coord_ends.size(), 1u);
+  Connection* client = c.site_ends[0].get();
+  Connection* server = c.coord_ends[0].get();
+
+  std::vector<std::vector<uint8_t>> payloads;
+  for (size_t i = 0; i < 120; ++i) {
+    payloads.emplace_back(i == 60 ? 300000 : (i * 37) % 500);
+  }
+  std::vector<uint8_t> wire;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    for (size_t j = 0; j < payloads[i].size(); ++j) {
+      payloads[i][j] = static_cast<uint8_t>(i * 131 + j * 7);
+    }
+    AppendFrame(MsgType::kFdSketch, payloads[i].data(), payloads[i].size(),
+                &wire);
+  }
+  std::thread sender([&] {
+    // Two uneven parts, so a frame header straddles them.
+    const size_t cut = wire.size() / 3 + 5;
+    EXPECT_TRUE(client->Send(wire.data(), cut));
+    EXPECT_TRUE(client->Send(wire.data() + cut, wire.size() - cut));
+  });
+  FrameHeader header;
+  std::vector<uint8_t> got;
+  std::string error;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    ASSERT_TRUE(RecvFrame(server, &header, &got, &error)) << i << error;
+    EXPECT_EQ(got, payloads[i]) << "frame " << i;
+  }
+  sender.join();
+  EXPECT_EQ(server->bytes_received(), wire.size());
+  EXPECT_EQ(client->bytes_sent(), wire.size());
+}
+
 TEST(TcpTransportTest, ConnectToDeadPortFails) {
   std::string error;
   // Bind-then-drop guarantees a currently-closed port.
@@ -217,16 +304,10 @@ TEST_P(WireEquivalenceTest, LocalPairRunMatchesOracleBitForBit) {
   WireProtocol coord = MakeWireProtocol(config);
   ASSERT_NE(coord.adapter, nullptr);
 
-  std::vector<std::unique_ptr<Connection>> coord_ends;
-  std::vector<std::unique_ptr<Connection>> site_ends;
-  for (size_t s = 0; s < config.num_sites; ++s) {
-    auto [site_end, coord_end] = MakeLocalPair();
-    site_ends.push_back(std::move(site_end));
-    coord_ends.push_back(std::move(coord_end));
-  }
+  Channels c = LocalChannels(config.num_sites);
   WireCoordinatorReport report;
-  RunWireOnThreads(config, workload, &coord, std::move(coord_ends),
-                   std::move(site_ends), &report);
+  RunWireOnThreads(config, workload, &coord, std::move(c.coord_ends),
+                   std::move(c.site_ends), &report);
 
   const WireProtocol oracle = RunOracle(config, workload);
   EXPECT_EQ(DiffWireProtocols(config, oracle, coord), "");
@@ -239,36 +320,62 @@ TEST_P(WireEquivalenceTest, TcpLoopbackRunMatchesOracleBitForBit) {
   WireProtocol coord = MakeWireProtocol(config);
   ASSERT_NE(coord.adapter, nullptr);
 
-  std::string error;
-  auto listener = TcpListener::Listen(0, &error);
-  ASSERT_NE(listener, nullptr) << error;
-
-  // Sites connect on threads while the main thread accepts; the handshake
-  // inside RunWireCoordinator fixes up any accept-order scramble.
-  std::vector<std::unique_ptr<Connection>> site_ends(config.num_sites);
-  std::vector<std::thread> dialers;
-  for (size_t s = 0; s < config.num_sites; ++s) {
-    dialers.emplace_back([&, s] {
-      std::string connect_error;
-      site_ends[s] =
-          TcpConnect("127.0.0.1", listener->port(), &connect_error);
-    });
-  }
-  std::vector<std::unique_ptr<Connection>> coord_ends;
-  for (size_t s = 0; s < config.num_sites; ++s) {
-    auto conn = listener->Accept(&error);
-    ASSERT_NE(conn, nullptr) << error;
-    coord_ends.push_back(std::move(conn));
-  }
-  for (auto& t : dialers) t.join();
-  for (const auto& conn : site_ends) ASSERT_NE(conn, nullptr);
-
+  Channels c = TcpChannels(config.num_sites);
+  ASSERT_EQ(c.coord_ends.size(), config.num_sites);
   WireCoordinatorReport report;
-  RunWireOnThreads(config, workload, &coord, std::move(coord_ends),
-                   std::move(site_ends), &report);
+  RunWireOnThreads(config, workload, &coord, std::move(c.coord_ends),
+                   std::move(c.site_ends), &report);
 
   const WireProtocol oracle = RunOracle(config, workload);
   EXPECT_EQ(DiffWireProtocols(config, oracle, coord), "");
+}
+
+// Forwards to a real endpoint, but hands each Send to it one byte at a
+// time, so the peer's reads find every window in 1-byte pieces.
+class ByteAtATimeConnection : public Connection {
+ public:
+  explicit ByteAtATimeConnection(std::unique_ptr<Connection> inner)
+      : inner_(std::move(inner)) {}
+
+  bool Send(const uint8_t* data, size_t n) override {
+    for (size_t i = 0; i < n; ++i) {
+      if (!inner_->Send(data + i, 1)) return false;
+    }
+    CountSent(n);
+    return true;
+  }
+  bool Recv(uint8_t* data, size_t n) override {
+    if (!inner_->Recv(data, n)) return false;
+    CountReceived(n);
+    return true;
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<Connection> inner_;
+};
+
+// The coordinator reads a data frame's payload together with the next
+// frame's header, and TCP reads go through a receive buffer: neither may
+// depend on how the bytes were cut into sends.
+TEST_P(WireEquivalenceTest, SiteBytesArrivingOneAtATimeMatchOracle) {
+  const WireRunConfig config = SmallConfig(GetParam());
+  const WireWorkload workload = MakeWireWorkload(config);
+  const WireProtocol oracle = RunOracle(config, workload);
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "tcp" : "local pair");
+    Channels c = tcp ? TcpChannels(config.num_sites)
+                     : LocalChannels(config.num_sites);
+    ASSERT_EQ(c.coord_ends.size(), config.num_sites);
+    for (auto& end : c.site_ends) {
+      end = std::make_unique<ByteAtATimeConnection>(std::move(end));
+    }
+    WireProtocol coord = MakeWireProtocol(config);
+    WireCoordinatorReport report;
+    RunWireOnThreads(config, workload, &coord, std::move(c.coord_ends),
+                     std::move(c.site_ends), &report);
+    EXPECT_EQ(DiffWireProtocols(config, oracle, coord), "");
+  }
 }
 
 // (window_index, SnapshotChecksum) of every published snapshot, in order.
@@ -358,6 +465,119 @@ TEST(WireEquivalenceTest2, SiteWindowIndicesCoverEveryWindow) {
     for (const auto& w : windows) total += w.size();
   }
   EXPECT_EQ(total, config.n);  // every arrival lands in exactly one slot
+}
+
+// ---------------------------------------------------------------------------
+// Sites that break the window framing.
+
+std::vector<uint8_t> FrameBytes(MsgType type,
+                                const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> out;
+  AppendFrame(type, payload.data(), payload.size(), &out);
+  return out;
+}
+
+std::vector<uint8_t> HelloFrame(size_t site, size_t sites) {
+  HelloMsg hello;
+  hello.site = static_cast<uint32_t>(site);
+  hello.num_sites = static_cast<uint32_t>(sites);
+  hello.num_windows = 1;
+  hello.protocol = "mp2";
+  std::vector<uint8_t> payload;
+  EncodeHello(hello, &payload);
+  return FrameBytes(MsgType::kHello, payload);
+}
+
+std::vector<uint8_t> ScalarFrame(double value) {
+  std::vector<uint8_t> payload;
+  EncodeMatrixScalar(MatrixScalarMsg{value}, &payload);
+  return FrameBytes(MsgType::kMatrixScalar, payload);
+}
+
+std::vector<uint8_t> WindowEndFrame() {
+  std::vector<uint8_t> payload;
+  EncodeWindowEnd(WindowEndMsg{0}, &payload);
+  return FrameBytes(MsgType::kWindowEnd, payload);
+}
+
+std::vector<uint8_t> Concat(std::vector<std::vector<uint8_t>> parts) {
+  std::vector<uint8_t> out;
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+// Runs a one-window MP2 coordinator against scripted peers over local
+// pairs: peer s sends scripts[s] in one Send and, with `close`, then
+// hangs up. Returns whether the coordinator succeeded, with its error.
+// A coordinator still blocked after 10 s fails the test; closing every
+// channel then unblocks it.
+bool RunCoordinatorAgainst(const std::vector<std::vector<uint8_t>>& scripts,
+                           bool close, std::string* error) {
+  const size_t m = scripts.size();
+  Channels c = LocalChannels(m);
+  for (size_t s = 0; s < m; ++s) {
+    EXPECT_TRUE(c.site_ends[s]->Send(scripts[s].data(), scripts[s].size()));
+    if (close) c.site_ends[s]->Close();
+  }
+  matrix::MP2SvdThreshold protocol(m, 0.1);
+  MP2Wire adapter(&protocol, m);
+  WireCoordinatorReport report;
+  auto done = std::async(std::launch::async, [&] {
+    return RunWireCoordinator(&adapter, &c.coord_ends, 1, &report, error);
+  });
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "coordinator still blocked after 10 s";
+    for (auto& end : c.site_ends) end->Close();
+  }
+  return done.get();
+}
+
+// The drain reads each data frame's payload with the next frame's header,
+// expecting the kWindowEnd every site sends; a site that hangs up after a
+// data frame instead fails the run, named.
+TEST(WireFramingTest, SiteClosingAfterADataFrameIsNamed) {
+  std::string error;
+  EXPECT_FALSE(RunCoordinatorAgainst(
+      {Concat({HelloFrame(0, 2), WindowEndFrame()}),
+       Concat({HelloFrame(1, 2), ScalarFrame(2.0)})},
+      /*close=*/true, &error));
+  EXPECT_NE(error.find("site 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("closed"), std::string::npos) << error;
+}
+
+// A corrupt data frame followed by more frames still fails its CRC check;
+// as a peer's last bytes before it closes, it reports the closed channel
+// (docs/PROTOCOL.md).
+TEST(WireFramingTest, CorruptDataFrameReportsTheCrcMismatch) {
+  std::vector<uint8_t> corrupt = ScalarFrame(2.0);
+  corrupt.back() ^= 0x01;
+  std::string error;
+  EXPECT_FALSE(RunCoordinatorAgainst(
+      {Concat({HelloFrame(0, 1), corrupt, WindowEndFrame()})},
+      /*close=*/true, &error));
+  EXPECT_NE(error.find("site 0"), std::string::npos) << error;
+  EXPECT_NE(error.find("CRC mismatch"), std::string::npos) << error;
+
+  error.clear();
+  EXPECT_FALSE(RunCoordinatorAgainst({Concat({HelloFrame(0, 1), corrupt})},
+                                     /*close=*/true, &error));
+  EXPECT_NE(error.find("closed"), std::string::npos) << error;
+}
+
+// Control frames are read without reading ahead, so a kSiteDone inside a
+// window reaches the adapter's type check while its sender, waiting for
+// kShutdown, sends nothing more.
+TEST(WireFramingTest, SiteDoneMidWindowIsRejectedWithoutBlocking) {
+  std::vector<uint8_t> done;
+  EncodeSiteDone(SiteDoneMsg{1}, &done);
+  std::string error;
+  EXPECT_FALSE(RunCoordinatorAgainst(
+      {Concat({HelloFrame(0, 1), ScalarFrame(2.0),
+               FrameBytes(MsgType::kSiteDone, done)})},
+      /*close=*/false, &error));
+  EXPECT_NE(error.find("unexpected"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

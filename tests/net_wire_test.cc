@@ -399,25 +399,36 @@ uint32_t BitwiseCrc32(const uint8_t* data, size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-// Crc32 folds 8 bytes per step and finishes the tail bytewise; every
-// length and start alignment must give the definition's value.
+// Crc32 folds 16-byte blocks with carry-less multiplies from 64 bytes up
+// (where the CPU has them), 8 bytes per table step otherwise, and finishes
+// the tail bytewise; every length and start alignment must give the
+// definition's value. Every length to 1100 runs at offsets 0..7, then
+// random lengths to 64 KiB at offsets 0..15.
 TEST(FrameHeaderTest, Crc32MatchesTheBitwiseDefinition) {
   const char* check = "123456789";
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
 
-  const size_t kMaxLen = 1100, kOffsets = 8;
+  const size_t kMaxLen = 64 * 1024, kOffsets = 16;
   Rng rng(41);
   std::vector<uint8_t> buf(kMaxLen + kOffsets);
   for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextBelow(256));
   size_t mismatches = 0;
+  const auto expect_match = [&](size_t offset, size_t len) {
+    const uint8_t* p = buf.data() + offset;
+    if (Crc32(p, len) == BitwiseCrc32(p, len)) return true;
+    ADD_FAILURE() << "offset " << offset << ", length " << len;
+    return ++mismatches < 10;
+  };
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      if (!expect_match(offset, len)) return;
+    }
+  }
   for (size_t offset = 0; offset < kOffsets; ++offset) {
-    for (size_t len = 0; len <= kMaxLen; ++len) {
-      const uint8_t* p = buf.data() + offset;
-      if (Crc32(p, len) != BitwiseCrc32(p, len)) {
-        ADD_FAILURE() << "offset " << offset << ", length " << len;
-        if (++mismatches >= 10) return;
-      }
+    if (!expect_match(offset, kMaxLen)) return;
+    for (int i = 0; i < 16; ++i) {
+      if (!expect_match(offset, rng.NextBelow(kMaxLen + 1))) return;
     }
   }
 }
